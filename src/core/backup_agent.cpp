@@ -4,7 +4,6 @@
 
 #include "core/promotion.hpp"
 #include "util/assert.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::core {
 
@@ -20,10 +19,7 @@ BackupAgent::BackupAgent(Options opts, kern::Kernel& kernel,
       metrics_(&metrics),
       commit_idle_(std::make_unique<sim::Event>(kernel.simulation())) {
   if (opts_.optimize_criu) {
-    auto radix =
-        std::make_unique<criu::RadixPageStore>(opts_.resolved_page_shards());
-    radix_ = radix.get();
-    pages_ = std::move(radix);
+    pages_ = std::make_unique<criu::RadixPageStore>();
   } else {
     pages_ = std::make_unique<criu::ListPageStore>();
   }
@@ -122,14 +118,8 @@ sim::task<> BackupAgent::state_loop() {
     pages_->begin_checkpoint(msg.epoch);
     std::uint64_t visits = 0;
     const std::uint64_t fold_t0 = util::wall_now_ns();
-    if (radix_ != nullptr && radix_->shards() > 1) {
-      // Sharded fold (DESIGN.md §10): same state and modeled visit total
-      // as the per-record loop, fanned out over the shard subtrees.
-      visits = radix_->store_batch(msg.image.pages, &util::shard_pool());
-    } else {
-      for (const criu::PageRecord& pr : msg.image.pages) {
-        visits += pages_->store(pr);
-      }
+    for (const criu::PageRecord& pr : msg.image.pages) {
+      visits += pages_->store(pr);
     }
     metrics_->shard_stage_ns.fold += util::wall_now_ns() - fold_t0;
     if (trace_ != nullptr) {
@@ -306,12 +296,8 @@ void BackupAgent::adopt_resilver(const BackupAgent& src) {
   // are shared handles, so this copies records, not page bytes; the bulk
   // transfer itself is metered by the arbiter on the replication link.
   if (opts_.optimize_criu) {
-    auto radix =
-        std::make_unique<criu::RadixPageStore>(opts_.resolved_page_shards());
-    radix_ = radix.get();
-    pages_ = std::move(radix);
+    pages_ = std::make_unique<criu::RadixPageStore>();
   } else {
-    radix_ = nullptr;
     pages_ = std::make_unique<criu::ListPageStore>();
   }
   pages_->begin_checkpoint(src.committed_epoch_);

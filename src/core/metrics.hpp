@@ -4,16 +4,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/simd.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace nlc::core {
 
 /// Wall-clock (util::wall_now_ns) nanoseconds spent in each stage of the
-/// sharded intra-epoch page pipeline (DESIGN.md §10). Observability only:
-/// these never feed back into simulated time or the cost model, so the
-/// simulation's numbers stay identical across shard counts.
+/// epoch page pipeline (DESIGN.md §10). Observability only: these never
+/// feed back into simulated time or the cost model.
 struct ShardStageNanos {
   std::uint64_t harvest = 0;  // frozen-state page-record fill
   std::uint64_t encode = 0;   // delta encode + wire-size stamping
@@ -88,13 +86,7 @@ struct ReplicationMetrics {
   /// made at harvest alone).
   std::uint64_t payload_copies_avoided = 0;
 
-  // ---- Sharded page pipeline (DESIGN.md §10/§12) --------------------------
-  /// Shard count the agent pair ran with (resolved from Options/NLC_SHARDS).
-  int page_shards_used = 1;
-  /// Delta-codec scan-kernel tier the primary ran with (resolved from
-  /// Options::simd_tier / NLC_SIMD; util::simd_tier_name() renders it).
-  /// Observability only — observables are tier-independent.
-  util::SimdTier simd_tier_used = util::SimdTier::kScalar;
+  // ---- Page pipeline (DESIGN.md §10) --------------------------------------
   /// Per-stage wall-clock accounting (not simulated time).
   ShardStageNanos shard_stage_ns;
 

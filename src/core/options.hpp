@@ -8,7 +8,6 @@
 #include "topo/topology.hpp"
 #include "util/simd.hpp"
 #include "util/time.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::core {
 
@@ -161,27 +160,13 @@ struct Options {
   /// the DRBD backup when this is not kOff.
   TraceLevel trace_level = TraceLevel::kOff;
 
-  /// DESIGN.md §10: intra-epoch page-pipeline shard count. 0 = auto
-  /// (NLC_SHARDS env, else hardware concurrency); 1 = the serial reference
-  /// engine. All shipped bytes, stats and visit counts are byte-identical
-  /// for any value — only wall clock changes.
-  int page_shards = 0;
-
-  int resolved_page_shards() const {
-    int s = page_shards > 0 ? page_shards : util::env_shards();
-    if (s < 1) return 1;
-    return s > util::kMaxShards ? util::kMaxShards : s;
-  }
-
-  /// DESIGN.md §12: scan-kernel tier of the sharded delta codec. kAuto
-  /// defers to NLC_SIMD (scalar | swar64 | simd | auto = fastest the CPU
-  /// runs). Every tier produces byte-identical observables — only wall
-  /// clock changes; NLC_SHARDS=1 keeps the scalar reference engine
-  /// regardless of tier.
-  util::SimdTier simd_tier = util::SimdTier::kAuto;
-
+  /// The epoch page pipeline runs serially on the simulation's thread
+  /// (DESIGN.md §10). Read-only run-manifest facts, kept so reports can
+  /// name the configuration they measured: always one shard, and the scan
+  /// kernel this build compiled.
+  int resolved_page_shards() const { return 1; }
   util::SimdTier resolved_simd_tier() const {
-    return util::resolve_simd_tier(simd_tier);
+    return util::kCompiledSimdTier;
   }
 
   /// The seven cumulative configurations of Table I, row index 0..6.

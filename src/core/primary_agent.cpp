@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::core {
 
@@ -17,13 +16,10 @@ PrimaryAgent::PrimaryAgent(Options opts, kern::Kernel& kernel,
                            ReplicationMetrics& metrics)
     : opts_(opts), kernel_(&kernel), tcp_(&tcp), cid_(cid), drbd_(&drbd),
       metrics_(&metrics), ckpt_(kernel, tcp), cache_(kernel, cid),
-      delta_(opts.resolved_page_shards(), opts.resolved_simd_tier()),
       rng_(opts.seed ^ 0x9e37'79b9'7f4a'7c15ull),
       ack_event_(std::make_unique<sim::Event>(kernel.simulation())),
       controller_(opts, log_costs_),
       log_flush_event_(std::make_unique<sim::Event>(kernel.simulation())) {
-  metrics_->page_shards_used = delta_.shards();
-  metrics_->simd_tier_used = delta_.simd_tier();
   replicas_.push_back(Replica{&state_out, &ack_in, &hb_out, &log_out,
                               &log_ack_in, /*direct=*/true, 0, false});
   quorum_k_ = opts_.resolved_quorum();
@@ -294,18 +290,11 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
   }
 
   // ---- Harvest the container state (CRIU engine) ---------------------------
-  // Sharded page pipeline (DESIGN.md §10): harvest fill, delta encode and
-  // the backup's fold all fan out on the shared pool when shards > 1;
-  // outputs are byte-identical to the serial engine either way.
-  int pshards = delta_.shards();
-  util::WorkerPool* ppool = pshards > 1 ? &util::shard_pool() : nullptr;
   criu::HarvestOptions ho;
   ho.incremental = !initial;
   ho.vma_via_netlink = opts_.vma_via_netlink;
   ho.pages_via_shared_memory = opts_.pages_via_shared_memory;
   ho.fs_cache_via_dnc = opts_.fs_cache_via_dnc;
-  ho.shards = pshards;
-  ho.pool = ppool;
   const criu::InfrequentState* cached =
       opts_.cache_infrequent_state ? cache_.get() : nullptr;
   rec.harvest_b = sim.now();
@@ -352,7 +341,7 @@ sim::task<> PrimaryAgent::checkpoint_once(bool initial) {
                          sim.now(), epoch);
     }
     const std::uint64_t encode_t0 = util::wall_now_ns();
-    criu::EpochDeltaStats ds = delta_.encode_epoch(hr.image, ppool);
+    criu::EpochDeltaStats ds = delta_.encode_epoch(hr.image);
     metrics_->shard_stage_ns.encode += util::wall_now_ns() - encode_t0;
     if (trace_ != nullptr) {
       trace_->span_end(trace::Track::kPrimary, trace::Stage::kEncode,

@@ -4,7 +4,6 @@
 
 #include "util/assert.hpp"
 #include "util/simd.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::criu {
 
@@ -15,42 +14,17 @@ namespace {
 /// enough that the line is still resident when reached.
 constexpr std::size_t kFillPrefetch = 8;
 
-/// Fills pages[base .. base+n) from an index-addressable source. Each slot
-/// depends only on its own source entry, so contiguous chunks writing
-/// disjoint slots reproduce the serial image byte for byte (DESIGN.md
-/// §10); the content-page count folds per chunk in chunk order. Returns
-/// the number of content pages filled.
+/// Appends `n` page records filled from an index-addressable source;
+/// returns the number of content pages among them.
 template <typename FillOne>
 std::uint64_t fill_page_records(std::vector<PageRecord>& pages,
-                                std::size_t base, std::size_t n, int shards,
-                                util::WorkerPool* pool, FillOne fill_one) {
+                                std::size_t n, FillOne fill_one) {
+  const std::size_t base = pages.size();
   pages.resize(base + n);
-  if (shards <= 1 || n < 2) {
-    std::uint64_t content = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (fill_one(i, pages[base + i])) ++content;
-    }
-    return content;
-  }
-  std::size_t nchunks =
-      std::min<std::size_t>(static_cast<std::size_t>(shards), n);
-  std::vector<std::uint64_t> per(nchunks, 0);
-  auto chunk = [&](std::size_t c) {
-    std::size_t lo = n * c / nchunks;
-    std::size_t hi = n * (c + 1) / nchunks;
-    std::uint64_t count = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (fill_one(i, pages[base + i])) ++count;
-    }
-    per[c] = count;
-  };
-  if (pool != nullptr) {
-    pool->run(nchunks, chunk);
-  } else {
-    for (std::size_t c = 0; c < nchunks; ++c) chunk(c);
-  }
   std::uint64_t content = 0;
-  for (std::uint64_t v : per) content += v;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (fill_one(i, pages[base + i])) ++content;
+  }
   return content;
 }
 
@@ -194,7 +168,7 @@ HarvestResult CheckpointEngine::harvest(kern::ContainerId cid,
     const auto& states = mm.page_states();
     if (opts.incremental) {
       // The dirty list already carries (page, state*) pairs (DESIGN.md
-      // §12): sorting the contiguous vector restores deterministic image
+      // §10): sorting the contiguous vector restores deterministic image
       // order, and the fill below is a linear scan with zero hash probes.
       std::vector<kern::AddressSpace::DirtyRef> dirty(
           mm.dirty_pages().begin(), mm.dirty_pages().end());
@@ -204,8 +178,7 @@ HarvestResult CheckpointEngine::harvest(kern::ContainerId cid,
                   return a.page < b.page;
                 });
       r.content_pages += fill_page_records(
-          img.pages, img.pages.size(), dirty.size(), opts.shards, opts.pool,
-          [&](std::size_t i, PageRecord& rec) {
+          img.pages, dirty.size(), [&](std::size_t i, PageRecord& rec) {
             // Pull the page state a few entries ahead; the shared-handle
             // copy below is the first (otherwise cold) touch.
             if (i + kFillPrefetch < dirty.size()) {
@@ -231,8 +204,7 @@ HarvestResult CheckpointEngine::harvest(kern::ContainerId cid,
       std::sort(resident.begin(), resident.end(),
                 [](const auto& a, const auto& b) { return a.first < b.first; });
       r.content_pages += fill_page_records(
-          img.pages, img.pages.size(), resident.size(), opts.shards,
-          opts.pool, [&](std::size_t i, PageRecord& rec) {
+          img.pages, resident.size(), [&](std::size_t i, PageRecord& rec) {
             if (i + kFillPrefetch < resident.size()) {
               util::prefetch_read(resident[i + kFillPrefetch].second);
             }

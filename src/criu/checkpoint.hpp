@@ -16,10 +16,6 @@
 #include "kernel/kernel.hpp"
 #include "net/tcp.hpp"
 
-namespace nlc::util {
-class WorkerPool;
-}
-
 namespace nlc::criu {
 
 struct HarvestOptions {
@@ -32,11 +28,6 @@ struct HarvestOptions {
   /// §III: harvest the file-system cache via DNC/fgetfc. When false, model
   /// stock CRIU's flush-to-NAS cost instead.
   bool fs_cache_via_dnc = true;
-  /// DESIGN.md §10: fan the page-record fill out over contiguous chunks.
-  /// shards <= 1 keeps the serial fill; the image is byte-identical either
-  /// way. `pool` may be null (inline chunk loop).
-  int shards = 1;
-  util::WorkerPool* pool = nullptr;
 };
 
 struct HarvestBreakdown {

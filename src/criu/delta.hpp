@@ -8,7 +8,9 @@
 //  * delta_encode()/delta_apply(): a real XOR + run-length codec over two
 //    4 KiB payloads. Runs of identical bytes are skipped; each changed run
 //    ships as (offset, len, bytes). The codec round-trips bit-exactly
-//    (property-tested) — apply(prev, encode(prev, cur)) == cur.
+//    (property-tested) — apply(prev, encode(prev, cur)) == cur — and its
+//    runs match a byte-at-a-time reference encoder kept in the tests
+//    (tests/delta_oracle.hpp).
 //  * DeltaCodec: the per-container epoch stage. It keeps a shared handle to
 //    the last-shipped payload of every page (refcount bump, zero copy —
 //    copy-on-write in the address space keeps those bytes frozen), encodes
@@ -22,18 +24,15 @@
 // whose encoded size would exceed the raw page ship uncompressed.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <unordered_map>
 #include <vector>
 
 #include "criu/image.hpp"
-#include "criu/shard.hpp"
 #include "kernel/address_space.hpp"
 #include "util/assert.hpp"
 #include "util/simd.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::criu {
 
@@ -56,82 +55,14 @@ struct PageDelta {
   std::uint32_t wire_size = 0;
 };
 
-namespace detail {
-
-/// Computes framing + raw-fallback for an assembled run list (shared tail
-/// of both encoder kernels).
-inline void seal_delta(PageDelta& d) {
-  std::uint32_t size = kDeltaPageHeader;
-  for (const PageDelta::Run& r : d.runs) {
-    size += kDeltaRunHeader + static_cast<std::uint32_t>(r.bytes.size());
-  }
-  if (size >= nlc::kPageSize) {
-    d.raw = true;
-    d.runs.clear();
-    d.wire_size = static_cast<std::uint32_t>(nlc::kPageSize);
-  } else {
-    d.wire_size = size;
-  }
-}
-
-}  // namespace detail
-
 /// Encodes `cur` against reference `prev` (null => raw). Adjacent changed
 /// bytes closer than the run-header cost are merged into one run, which is
-/// what a real encoder would do to minimize framing. This is the reference
-/// kernel: byte-at-a-time, used by the serial (NLC_SHARDS=1) pipeline and
-/// as the oracle the fast kernel is property-tested against.
+/// what a real encoder would do to minimize framing. Equal spans — the
+/// overwhelming majority of bytes of a typical dirty page — and changed
+/// spans are both resolved by the word-wise scan primitives
+/// (util/simd.hpp), 8 bytes per compare.
 inline PageDelta delta_encode(const kern::PageBytes* prev,
                               const kern::PageBytes& cur) {
-  NLC_CHECK(cur.size() == nlc::kPageSize);
-  PageDelta d;
-  if (prev == nullptr) {
-    d.raw = true;
-    d.wire_size = static_cast<std::uint32_t>(nlc::kPageSize);
-    return d;
-  }
-  NLC_CHECK(prev->size() == nlc::kPageSize);
-  std::uint32_t i = 0;
-  const auto n = static_cast<std::uint32_t>(nlc::kPageSize);
-  while (i < n) {
-    if (cur[i] == (*prev)[i]) {
-      ++i;
-      continue;
-    }
-    // Start of a changed run; extend while bytes differ or the gap of
-    // equal bytes is shorter than the framing a new run would cost.
-    std::uint32_t start = i;
-    std::uint32_t last_diff = i;
-    ++i;
-    while (i < n) {
-      if (cur[i] != (*prev)[i]) {
-        last_diff = i++;
-      } else if (i - last_diff <= kDeltaRunHeader) {
-        ++i;  // cheaper to include the equal gap than to open a new run
-      } else {
-        break;
-      }
-    }
-    PageDelta::Run run;
-    run.offset = start;
-    run.bytes.assign(cur.begin() + start, cur.begin() + last_diff + 1);
-    d.runs.push_back(std::move(run));
-  }
-  detail::seal_delta(d);
-  return d;
-}
-
-/// Span-scanning encoder kernel used by the sharded pipeline (DESIGN.md
-/// §10/§12): equal spans — the overwhelming majority of bytes of a typical
-/// dirty page — and changed spans are both resolved by the dispatched scan
-/// primitives (util/simd.hpp): 8 bytes per compare at kSwar64, 32 at
-/// kVector, byte-at-a-time at kScalar. Run boundaries follow exactly the
-/// reference kernel's absorb rule, so runs, raw flag and wire_size are
-/// bit-identical to delta_encode() for every input and every tier
-/// (tests/simd_kernel_test, tests/shard_determinism_test, property_test).
-inline PageDelta delta_encode_fast(
-    const kern::PageBytes* prev, const kern::PageBytes& cur,
-    util::SimdTier tier = util::SimdTier::kSwar64) {
   NLC_CHECK(cur.size() == nlc::kPageSize);
   PageDelta d;
   if (prev == nullptr) {
@@ -143,24 +74,23 @@ inline PageDelta delta_encode_fast(
   const std::byte* a = cur.data();
   const std::byte* b = prev->data();
   const std::size_t n = nlc::kPageSize;
-  std::size_t i = util::find_diff(a, b, 0, n, tier);
+  std::size_t i = util::find_diff(a, b, 0, n);
   while (i < n) {
     const std::size_t start = i;
     std::size_t last_diff = i;
     // Invariant at the top of the loop: a[i] != b[i]. Extend over the
     // changed span, then absorb an equal gap iff it is no wider than the
-    // framing a new run would cost (the same decision the reference kernel
-    // makes one byte at a time: it keeps absorbing equal bytes while
-    // i - last_diff <= kDeltaRunHeader, so a next diff at
-    // last_diff + kDeltaRunHeader + 1 still extends the run).
+    // framing a new run would cost: a byte-at-a-time encoder keeps
+    // absorbing equal bytes while i - last_diff <= kDeltaRunHeader, so a
+    // next diff at last_diff + kDeltaRunHeader + 1 still extends the run.
     for (;;) {
-      const std::size_t same = util::find_same(a, b, i + 1, n, tier);
+      const std::size_t same = util::find_same(a, b, i + 1, n);
       last_diff = same - 1;
       if (same >= n) {
         i = n;
         break;
       }
-      const std::size_t j = util::find_diff(a, b, same, n, tier);
+      const std::size_t j = util::find_diff(a, b, same, n);
       if (j >= n || j - last_diff > kDeltaRunHeader + 1) {
         i = j;
         break;
@@ -173,7 +103,17 @@ inline PageDelta delta_encode_fast(
                      cur.begin() + static_cast<std::ptrdiff_t>(last_diff + 1));
     d.runs.push_back(std::move(run));
   }
-  detail::seal_delta(d);
+  std::uint32_t size = kDeltaPageHeader;
+  for (const PageDelta::Run& r : d.runs) {
+    size += kDeltaRunHeader + static_cast<std::uint32_t>(r.bytes.size());
+  }
+  if (size >= nlc::kPageSize) {
+    d.raw = true;
+    d.runs.clear();
+    d.wire_size = static_cast<std::uint32_t>(nlc::kPageSize);
+  } else {
+    d.wire_size = size;
+  }
   return d;
 }
 
@@ -188,8 +128,7 @@ inline kern::PageBytes delta_apply(const kern::PageBytes* prev,
   }
   NLC_CHECK_MSG(prev != nullptr, "delta apply without reference page");
   // Bulk copies via memcpy: the reference copy and every run land as wide
-  // vector moves (and the output buffer comes from the slab arena via
-  // PageBytes' allocator).
+  // vector moves.
   kern::PageBytes out(prev->size());
   std::memcpy(out.data(), prev->data(), prev->size());
   for (const PageDelta::Run& r : d.runs) {
@@ -226,113 +165,52 @@ struct EpochDeltaStats {
 
 /// Primary-side per-container compression stage. Keeps the last shipped
 /// payload of every content page as a shared handle.
-///
-/// Sharded mode (shards > 1, DESIGN.md §10): the reference set is split
-/// into independent per-shard maps keyed by shard_of(page) — a page's
-/// references live in one shard forever, so encode_epoch() fans the
-/// per-shard encode out on the worker pool with no locks, using the
-/// span-scanning kernel at the codec's SIMD tier (NLC_SIMD /
-/// Options::simd_tier, DESIGN.md §12). Stats merge by summation in shard
-/// order. Stamped
-/// wire sizes and EpochDeltaStats are byte-identical for any shard count;
-/// shards == 1 is the exact serial pre-shard engine (reference kernel,
-/// one map).
 class DeltaCodec {
  public:
-  explicit DeltaCodec(int shards = 1,
-                      util::SimdTier tier = util::SimdTier::kAuto)
-      : prev_(static_cast<std::size_t>(shards < 1 ? 1 : shards)),
-        tier_(util::resolve_simd_tier(tier)) {}
-
-  int shards() const { return static_cast<int>(prev_.size()); }
-  util::SimdTier simd_tier() const { return tier_; }
-
   /// Encodes every content page of `img` against the previously shipped
   /// version, stamping PageRecord::wire_size, and advances the reference
   /// set. Accounting pages (no bytes to diff) keep full wire cost.
-  /// `pool` (null = inline shard loop) carries the sharded fan-out.
-  EpochDeltaStats encode_epoch(CheckpointImage& img,
-                               util::WorkerPool* pool = nullptr) {
-    if (shards() == 1) {
-      // Presize for the upper bound of this epoch's inserts so try_emplace
-      // never rehashes mid-epoch.
-      prev_[0].reserve(prev_[0].size() + img.pages.size());
-      EpochDeltaStats st;
-      for (PageRecord& rec : img.pages) {
-        encode_one(rec, prev_[0], st, /*fast=*/false);
-      }
-      return st;
-    }
-    ShardPlan plan = ShardPlan::build(img.pages, shards());
-    std::vector<EpochDeltaStats> per(prev_.size());
-    auto encode_shard = [&](std::size_t s) {
-      const std::vector<std::uint32_t>& bucket = plan.buckets[s];
-      // Rehash-churn fix (ISSUE 6 satellite): one reserve per shard per
-      // epoch bounds the map at its final size before the first probe.
-      prev_[s].reserve(prev_[s].size() + bucket.size());
-      for (std::size_t k = 0; k < bucket.size(); ++k) {
-        // Pull the next record and the head of its payload while encoding
-        // this one; the 4 KiB scan gives the lines time to arrive.
-        if (k + 1 < bucket.size()) {
-          const PageRecord& next = img.pages[bucket[k + 1]];
-          util::prefetch_read(&next);
-          if (next.content != nullptr) {
-            util::prefetch_read(next.content->data());
-          }
-        }
-        encode_one(img.pages[bucket[k]], prev_[s], per[s], /*fast=*/true);
-      }
-    };
-    if (pool != nullptr) {
-      pool->run(prev_.size(), encode_shard);
-    } else {
-      for (std::size_t s = 0; s < prev_.size(); ++s) encode_shard(s);
-    }
-    // Deterministic merge: u64 sums folded in shard-index order.
+  EpochDeltaStats encode_epoch(CheckpointImage& img) {
+    // Presize for the upper bound of this epoch's inserts so try_emplace
+    // never rehashes mid-epoch.
+    prev_.reserve(prev_.size() + img.pages.size());
     EpochDeltaStats st;
-    for (const EpochDeltaStats& p : per) {
-      st.content_pages += p.content_pages;
-      st.delta_pages += p.delta_pages;
-      st.raw_pages += p.raw_pages;
-      st.raw_bytes += p.raw_bytes;
-      st.wire_bytes += p.wire_bytes;
+    for (std::size_t k = 0; k < img.pages.size(); ++k) {
+      // Pull the next record and the head of its payload while encoding
+      // this one; the 4 KiB scan gives the lines time to arrive.
+      if (k + 1 < img.pages.size()) {
+        const PageRecord& next = img.pages[k + 1];
+        util::prefetch_read(&next);
+        if (next.content != nullptr) {
+          util::prefetch_read(next.content->data());
+        }
+      }
+      encode_one(img.pages[k], st);
     }
     return st;
   }
 
-  std::uint64_t reference_pages() const {
-    std::uint64_t n = 0;
-    for (const auto& m : prev_) n += m.size();
-    return n;
-  }
-
  private:
-  using RefMap = std::unordered_map<kern::PageNum, kern::PagePayload>;
-
-  void encode_one(PageRecord& rec, RefMap& refs, EpochDeltaStats& st,
-                  bool fast) const {
+  void encode_one(PageRecord& rec, EpochDeltaStats& st) {
     if (!rec.has_content()) return;
     ++st.content_pages;
     st.raw_bytes += nlc::kPageSize;
     // One hash probe serves both the reference lookup and the
-    // advance-reference store (the encode and stamp paths used to hit the
-    // map separately per page).
-    auto [it, inserted] = refs.try_emplace(rec.page);
-    if (fast && !inserted && it->second == rec.content) {
+    // advance-reference store.
+    auto [it, inserted] = prev_.try_emplace(rec.page);
+    if (!inserted && it->second == rec.content) {
       // Identity fast path: the record still carries the exact handle we
       // shipped last epoch. The address space clones-on-write whenever a
       // payload is shared — and our reference handle keeps it shared — so
-      // handle identity proves the bytes are unchanged. The reference
-      // kernel would scan 2x4 KiB to emit zero runs; the result is the
-      // same header-only delta either way.
+      // handle identity proves the bytes are unchanged. A scan of the
+      // 2x4 KiB would emit zero runs: the same header-only delta.
       rec.wire_size = kDeltaPageHeader;
       st.wire_bytes += kDeltaPageHeader;
       ++st.delta_pages;
       return;
     }
     const kern::PageBytes* ref = inserted ? nullptr : it->second.get();
-    PageDelta d = fast ? delta_encode_fast(ref, *rec.content, tier_)
-                       : delta_encode(ref, *rec.content);
+    PageDelta d = delta_encode(ref, *rec.content);
     rec.wire_size = d.wire_size;
     st.wire_bytes += d.wire_size;
     if (d.raw) {
@@ -343,8 +221,7 @@ class DeltaCodec {
     it->second = rec.content;  // refcount bump, no byte copy
   }
 
-  std::vector<RefMap> prev_;
-  util::SimdTier tier_;
+  std::unordered_map<kern::PageNum, kern::PagePayload> prev_;
 };
 
 }  // namespace nlc::criu

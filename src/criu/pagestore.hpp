@@ -11,18 +11,12 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <memory>
 #include <unordered_map>
 
 #include "criu/image.hpp"
-#include "criu/shard.hpp"
-#include "util/arena.hpp"
-#include "util/simd.hpp"
-#include "util/worker_pool.hpp"
 
 namespace nlc::criu {
 
@@ -117,119 +111,72 @@ class ListPageStore final : public PageStore {
 };
 
 /// NiLiCon: four-level radix tree, 2^9 fan-out per level (like x86-64 page
-/// tables); constant 4 modeled visits per store.
+/// tables); constant 4 modeled visits per store. Internally the store
+/// memoizes the leaf directory of the last stored page, so folding a dense
+/// sorted range resolves ~1 level per page instead of walking all 4.
 ///
-/// Sharded mode (shards > 1, DESIGN.md §10): the tree becomes a forest of
-/// independent subtrees, one per page-number shard (shard_of). store() and
-/// store_batch() only touch the owning shard's subtree and counters, so an
-/// epoch fold fans out across the worker pool with no locks on the hot
-/// path. Modeled visit accounting stays the paper's constant kLevels per
-/// store for every shard count; internally each shard memoizes the leaf
-/// directory of the last stored page, so folding a dense sorted range
-/// resolves ~1 level per page instead of walking all 4.
-///
-/// Memory layout (DESIGN.md §12): nodes are 4-byte headers in one dense
-/// per-shard vector; each node's 512 child/leaf slots are 32-bit indices in
-/// one contiguous per-shard slot table (arena-backed), and the PageRecords
-/// themselves live in a per-shard arena-backed deque — stable addresses for
-/// lookup()/all_pages(), no per-page heap allocation anywhere, and a fold
-/// or walk touches a handful of dense arrays instead of chasing 8 KiB
-/// heap-scattered nodes.
+/// Memory layout (DESIGN.md §10): nodes are 4-byte headers in one dense
+/// vector; each node's 512 child/leaf slots are 32-bit indices in one
+/// contiguous slot table, and the PageRecords themselves live in a deque —
+/// stable addresses for lookup()/all_pages(), no per-page allocation for
+/// the tree, and a fold or walk touches a handful of dense arrays instead
+/// of chasing 8 KiB heap-scattered nodes.
 class RadixPageStore final : public PageStore {
  public:
-  explicit RadixPageStore(int shards = 1)
-      : shards_(static_cast<std::size_t>(shards < 1 ? 1 : shards)) {
-    for (Shard& sh : shards_) sh.root = new_node(sh);
-  }
-
-  int shards() const { return static_cast<int>(shards_.size()); }
+  RadixPageStore() : root_(new_node()) {}
 
   void begin_checkpoint(std::uint64_t epoch) override { epoch_ = epoch; }
 
   std::uint64_t store(const PageRecord& rec) override {
-    return store_into(shards_[shard_of(rec.page, shards())], rec);
-  }
-
-  /// Folds one epoch's records, fanning the per-shard work out on `pool`
-  /// (null = inline shard loop). Produces exactly the state and modeled
-  /// visit total that store()ing every record in image order would.
-  std::uint64_t store_batch(const std::vector<PageRecord>& recs,
-                            util::WorkerPool* pool) {
-    if (shards() == 1 || recs.size() < 2) {
-      std::uint64_t visits = 0;
-      for (const PageRecord& r : recs) visits += store(r);
-      return visits;
-    }
-    ShardPlan plan = ShardPlan::build(recs, shards());
-    auto fold_one = [&](std::size_t s) {
-      Shard& sh = shards_[s];
-      const std::vector<std::uint32_t>& bucket = plan.buckets[s];
-      for (std::size_t k = 0; k < bucket.size(); ++k) {
-        // The bucket is a contiguous index list, so the walk itself is a
-        // linear scan; pull the next record (and its payload handle) while
-        // this one folds.
-        if (k + 1 < bucket.size()) {
-          util::prefetch_read(&recs[bucket[k + 1]]);
-        }
-        store_into(sh, recs[bucket[k]]);
-      }
-    };
-    if (pool != nullptr) {
-      pool->run(shards_.size(), fold_one);
+    const kern::PageNum prefix = rec.page >> kBits;
+    std::uint32_t leaf;
+    if (last_leaf_ != kNil && prefix == last_prefix_) {
+      leaf = last_leaf_;
     } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) fold_one(s);
+      std::uint32_t node = root_;
+      for (int level = 3; level >= 1; --level) {
+        const std::size_t idx = index_at(rec.page, level);
+        std::uint32_t child = slot(nodes_[node].table, idx);
+        if (child == kNil) {
+          child = new_node();
+          set_slot(nodes_[node].table, idx, child);
+        }
+        node = child;
+      }
+      leaf = node;
+      last_leaf_ = leaf;
+      last_prefix_ = prefix;
     }
-    return kLevels * recs.size();
+    const std::size_t idx = index_at(rec.page, 0);
+    const std::uint32_t at = slot(nodes_[leaf].table, idx);
+    if (at == kNil) {
+      set_slot(nodes_[leaf].table, idx,
+               static_cast<std::uint32_t>(records_.size()));
+      records_.push_back(rec);
+    } else {
+      records_[at] = rec;
+    }
+    // The paper's cost model charges the full level walk per store; the
+    // memoized walk is a wall-clock optimization, not a model change.
+    return kLevels;
   }
 
   const PageRecord* lookup(kern::PageNum page) const override {
-    const Shard& sh = shards_[shard_of(page, shards())];
-    std::uint32_t node = sh.root;
+    std::uint32_t node = root_;
     for (int level = 3; level >= 1; --level) {
-      node = sh.slot(sh.nodes[node].table, index_at(page, level));
+      node = slot(nodes_[node].table, index_at(page, level));
       if (node == kNil) return nullptr;
     }
-    const std::uint32_t rec = sh.slot(sh.nodes[node].table, index_at(page, 0));
-    return rec == kNil ? nullptr : &sh.records[rec];
+    const std::uint32_t rec = slot(nodes_[node].table, index_at(page, 0));
+    return rec == kNil ? nullptr : &records_[rec];
   }
 
-  std::uint64_t page_count() const override {
-    std::uint64_t n = 0;
-    for (const Shard& sh : shards_) n += sh.count;
-    return n;
-  }
+  std::uint64_t page_count() const override { return records_.size(); }
 
   std::vector<const PageRecord*> all_pages() const override {
-    if (shards_.size() == 1) {
-      std::vector<const PageRecord*> out;
-      out.reserve(shards_[0].count);
-      collect(shards_[0], shards_[0].root, 3, out);
-      return out;
-    }
-    // Deterministic merge: each shard's walk is ascending by page number;
-    // a k-way merge reproduces the globally ascending order a one-shard
-    // tree yields, for any shard count.
-    std::vector<std::vector<const PageRecord*>> per(shards_.size());
-    std::size_t total = 0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      per[s].reserve(shards_[s].count);
-      collect(shards_[s], shards_[s].root, 3, per[s]);
-      total += per[s].size();
-    }
     std::vector<const PageRecord*> out;
-    out.reserve(total);
-    std::vector<std::size_t> cur(per.size(), 0);
-    while (out.size() < total) {
-      std::size_t best = per.size();
-      for (std::size_t s = 0; s < per.size(); ++s) {
-        if (cur[s] == per[s].size()) continue;
-        if (best == per.size() ||
-            per[s][cur[s]]->page < per[best][cur[best]]->page) {
-          best = s;
-        }
-      }
-      out.push_back(per[best][cur[best]++]);
-    }
+    out.reserve(records_.size());
+    collect(root_, 3, out);
     return out;
   }
 
@@ -241,103 +188,59 @@ class RadixPageStore final : public PageStore {
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
   /// Node header. The 512 child (interior) or record (leaf) slots are u32
-  /// indices at offset table * kFanout of the owning shard's slot array —
-  /// half the footprint of 64-bit pointers, and dense. The header itself
-  /// must stay within one cache line (ISSUE 6 satellite).
+  /// indices at offset table * kFanout of the slot array — half the
+  /// footprint of 64-bit pointers, and dense.
   struct Node {
     std::uint32_t table = kNil;
   };
-  static_assert(sizeof(Node) <= 64, "radix node header must fit a cache line");
 
-  struct Shard {
-    /// Dense node headers; element 0..root created at construction.
-    std::vector<Node, util::ArenaAllocator<Node>> nodes;
-    /// All slot tables, kFanout entries per node, arena-backed.
-    std::vector<std::uint32_t, util::ArenaAllocator<std::uint32_t>> slots;
-    /// Committed records; deque keeps addresses stable across growth while
-    /// drawing its blocks from the arena.
-    std::deque<PageRecord, util::ArenaAllocator<PageRecord>> records;
-    std::uint32_t root = kNil;
-    std::uint64_t count = 0;
-    /// Fold fast path: leaf directory of the last stored page and its
-    /// page-number prefix (node indices never move, so the memo stays
-    /// valid for the store's lifetime).
-    std::uint32_t last_leaf = kNil;
-    kern::PageNum last_prefix = ~0ull;
-
-    std::uint32_t slot(std::uint32_t table, std::size_t idx) const {
-      return slots[static_cast<std::size_t>(table) * kFanout + idx];
-    }
-    void set_slot(std::uint32_t table, std::size_t idx, std::uint32_t v) {
-      slots[static_cast<std::size_t>(table) * kFanout + idx] = v;
-    }
-  };
-
-  /// Appends a node with a fresh all-nil slot table; returns its index.
-  static std::uint32_t new_node(Shard& sh) {
-    const auto table =
-        static_cast<std::uint32_t>(sh.slots.size() / kFanout);
-    sh.slots.resize(sh.slots.size() + kFanout, kNil);
-    sh.nodes.push_back(Node{table});
-    return static_cast<std::uint32_t>(sh.nodes.size() - 1);
+  std::uint32_t slot(std::uint32_t table, std::size_t idx) const {
+    return slots_[static_cast<std::size_t>(table) * kFanout + idx];
+  }
+  void set_slot(std::uint32_t table, std::size_t idx, std::uint32_t v) {
+    slots_[static_cast<std::size_t>(table) * kFanout + idx] = v;
   }
 
-  std::uint64_t store_into(Shard& sh, const PageRecord& rec) {
-    const kern::PageNum prefix = rec.page >> kBits;
-    std::uint32_t leaf;
-    if (sh.last_leaf != kNil && prefix == sh.last_prefix) {
-      leaf = sh.last_leaf;
-    } else {
-      std::uint32_t node = sh.root;
-      for (int level = 3; level >= 1; --level) {
-        const std::size_t idx = index_at(rec.page, level);
-        std::uint32_t child = sh.slot(sh.nodes[node].table, idx);
-        if (child == kNil) {
-          child = new_node(sh);
-          sh.set_slot(sh.nodes[node].table, idx, child);
-        }
-        node = child;
-      }
-      leaf = node;
-      sh.last_leaf = leaf;
-      sh.last_prefix = prefix;
-    }
-    const std::size_t idx = index_at(rec.page, 0);
-    const std::uint32_t slot = sh.slot(sh.nodes[leaf].table, idx);
-    if (slot == kNil) {
-      sh.set_slot(sh.nodes[leaf].table, idx,
-                  static_cast<std::uint32_t>(sh.records.size()));
-      sh.records.push_back(rec);
-      ++sh.count;
-    } else {
-      sh.records[slot] = rec;
-    }
-    // The paper's cost model charges the full level walk per store; the
-    // memoized walk is a wall-clock optimization, not a model change.
-    return kLevels;
+  /// Appends a node with a fresh all-nil slot table; returns its index.
+  std::uint32_t new_node() {
+    const auto table = static_cast<std::uint32_t>(slots_.size() / kFanout);
+    slots_.resize(slots_.size() + kFanout, kNil);
+    nodes_.push_back(Node{table});
+    return static_cast<std::uint32_t>(nodes_.size() - 1);
   }
 
   static std::size_t index_at(kern::PageNum page, int level) {
     return static_cast<std::size_t>((page >> (kBits * level)) & (kFanout - 1));
   }
 
-  static void collect(const Shard& sh, std::uint32_t node, int level,
-                      std::vector<const PageRecord*>& out) {
-    const std::uint32_t table = sh.nodes[node].table;
+  void collect(std::uint32_t node, int level,
+               std::vector<const PageRecord*>& out) const {
+    const std::uint32_t table = nodes_[node].table;
     if (level == 0) {
       for (std::size_t i = 0; i < kFanout; ++i) {
-        const std::uint32_t rec = sh.slot(table, i);
-        if (rec != kNil) out.push_back(&sh.records[rec]);
+        const std::uint32_t rec = slot(table, i);
+        if (rec != kNil) out.push_back(&records_[rec]);
       }
       return;
     }
     for (std::size_t i = 0; i < kFanout; ++i) {
-      const std::uint32_t child = sh.slot(table, i);
-      if (child != kNil) collect(sh, child, level - 1, out);
+      const std::uint32_t child = slot(table, i);
+      if (child != kNil) collect(child, level - 1, out);
     }
   }
 
-  std::vector<Shard> shards_;
+  /// Dense node headers (index 0 is the root).
+  std::vector<Node> nodes_;
+  /// All slot tables, kFanout entries per node.
+  std::vector<std::uint32_t> slots_;
+  /// Committed records; deque keeps addresses stable across growth.
+  std::deque<PageRecord> records_;
+  /// Fold fast path: leaf directory of the last stored page and its
+  /// page-number prefix (node indices never move, so the memo stays valid
+  /// for the store's lifetime).
+  std::uint32_t last_leaf_ = kNil;
+  kern::PageNum last_prefix_ = ~0ull;
+  std::uint32_t root_;
   std::uint64_t epoch_ = 0;
 };
 

@@ -15,8 +15,7 @@
 // order. The first-failing-*index* exception is rethrown (not the first
 // in wall-clock order, which would be racy).
 //
-// The fan-out itself lives in util::WorkerPool (shared with the sharded
-// intra-epoch page pipeline, DESIGN.md §10); TrialRunner owns a pool of
+// The fan-out itself lives in util::WorkerPool; TrialRunner owns a pool of
 // jobs-1 helpers, created lazily on the first parallel run() and reused
 // across batches, with the calling thread always participating.
 //

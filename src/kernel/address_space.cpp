@@ -92,13 +92,12 @@ bool AddressSpace::write(PageNum page, std::uint32_t offset,
   PageState& st = pages_[page];
   ++st.version;
   if (!st.payload) {
-    st.payload = util::arena_make_shared<PageBytes>(kPageSize, std::byte{0});
+    st.payload = std::make_shared<PageBytes>(kPageSize, std::byte{0});
   } else if (st.payload.use_count() > 1) {
     // A checkpoint image / page store / restored container still holds a
     // handle to these bytes: clone before mutating (copy-on-write), so the
-    // captured state stays exactly what the freeze observed. The clone's
-    // buffer and control block both come from the slab arena.
-    st.payload = util::arena_make_shared<PageBytes>(*st.payload);
+    // captured state stays exactly what the freeze observed.
+    st.payload = std::make_shared<PageBytes>(*st.payload);
     ++cow_clones_;
   }
   std::copy(data.begin(), data.end(), st.payload->begin() + offset);

@@ -30,16 +30,12 @@
 #include <vector>
 
 #include "kernel/ids.hpp"
-#include "util/arena.hpp"
 #include "util/bytes.hpp"
 
 namespace nlc::kern {
 
-/// One page's content bytes (always kPageSize once materialized). The
-/// buffer rides the slab arena (util/arena.hpp, DESIGN.md §12): every
-/// materialization and COW clone pulls a recycled 4 KiB block from the
-/// allocating thread's cache instead of the heap.
-using PageBytes = std::vector<std::byte, util::ArenaAllocator<std::byte>>;
+/// One page's content bytes (always kPageSize once materialized).
+using PageBytes = std::vector<std::byte>;
 /// Immutable shared handle to a page payload; the unit the checkpoint
 /// pipeline passes instead of copies. Null for accounting pages.
 using PagePayload = std::shared_ptr<const PageBytes>;
@@ -79,7 +75,7 @@ class AddressSpace {
   /// One dirty-list entry: the page number plus a direct pointer to its
   /// resident state (stable: the page map is node-based). The harvest fill
   /// walks this contiguous vector linearly — no per-page hash probe, and
-  /// the next entries are prefetchable (DESIGN.md §12).
+  /// the next entries are prefetchable (DESIGN.md §10).
   struct DirtyRef {
     PageNum page = 0;
     PageState* state = nullptr;

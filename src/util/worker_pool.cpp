@@ -1,8 +1,5 @@
 #include "util/worker_pool.hpp"
 
-#include <algorithm>
-#include <cstdlib>
-
 namespace nlc::util {
 
 namespace {
@@ -126,30 +123,6 @@ void WorkerPool::worker_loop() {
       if (--active_ == 0) cv_done_.notify_all();
     }
   }
-}
-
-int env_shards() {
-  if (const char* v = std::getenv("NLC_SHARDS"); v != nullptr && v[0] != '\0') {
-    int s = std::atoi(v);
-    if (s >= 1) return std::min(s, kMaxShards);
-  }
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return std::min(static_cast<int>(hw), kMaxShards);
-}
-
-WorkerPool& shard_pool() {
-  // Helpers are sized from the hardware, not from NLC_SHARDS: a shard
-  // count above the core count still partitions the data (the contract is
-  // shard-count-invariant output), it just shares the real cores.
-  static WorkerPool pool(
-      std::max(0, std::min(static_cast<int>(
-                               std::thread::hardware_concurrency() == 0
-                                   ? 1
-                                   : std::thread::hardware_concurrency()),
-                           kMaxShards) -
-                      1));
-  return pool;
 }
 
 }  // namespace nlc::util

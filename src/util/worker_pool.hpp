@@ -1,10 +1,9 @@
 // Reusable worker pool for deterministic fan-out.
 //
-// Shared by the two parallelism layers of the repo:
-//  * harness::TrialRunner — parallelism *across* independent simulations
-//    (NLC_JOBS, DESIGN.md §9);
-//  * the sharded intra-epoch page pipeline — parallelism *within* one
-//    epoch's dirty-page work (NLC_SHARDS, DESIGN.md §10).
+// The engine behind harness::TrialRunner, which runs independent
+// simulations in parallel (NLC_JOBS, DESIGN.md §9). A simulation itself is
+// single-threaded: its epoch page pipeline runs serially on the calling
+// thread (DESIGN.md §10).
 //
 // run(n, fn) executes fn(0..n-1) with the calling thread participating:
 // helper threads and the caller pull indices from one atomic counter, so a
@@ -18,9 +17,8 @@
 // from inside a running task. A caller that cannot take exclusive
 // ownership of the helpers (they are busy, or the call is re-entrant from
 // this pool) simply executes its batch inline — the nested-pool policy is
-// "outermost fan-out wins", so NLC_JOBS trial parallelism keeps the cores
-// and nested shard fan-outs collapse to serial loops instead of
-// oversubscribing.
+// "outermost fan-out wins", so a nested fan-out collapses to a serial loop
+// instead of oversubscribing.
 //
 // If any index's task throws, the exception of the lowest failing index is
 // rethrown after the whole batch drained (same contract as TrialRunner).
@@ -36,11 +34,6 @@
 #include <vector>
 
 namespace nlc::util {
-
-/// Upper bound on NLC_SHARDS (and on any sane helper count): the shard
-/// merge stages are O(shards) per epoch, so an absurd value only adds
-/// overhead.
-inline constexpr int kMaxShards = 64;
 
 class WorkerPool {
  public:
@@ -85,15 +78,5 @@ class WorkerPool {
   /// immediately runs inline (nested-pool policy).
   std::mutex dispatch_m_;
 };
-
-/// NLC_SHARDS: page-pipeline shard count. Unset or 0 means hardware
-/// concurrency; always clamped to [1, kMaxShards].
-int env_shards();
-
-/// Process-wide pool for the sharded page pipeline, shared by every agent
-/// in every concurrently running trial (helpers are sized once from the
-/// hardware). Trials that find it busy fall back to inline shard loops —
-/// see the nested-pool policy above.
-WorkerPool& shard_pool();
 
 }  // namespace nlc::util

@@ -17,7 +17,6 @@
 #include "core/options.hpp"
 #include "criu/delta.hpp"
 #include "criu/pagestore.hpp"
-#include "util/arena.hpp"
 #include "util/assert.hpp"
 
 namespace nlc::check {
@@ -27,7 +26,7 @@ using namespace nlc::literals;
 using sim::task;
 
 kern::PagePayload make_payload(std::byte fill) {
-  auto bytes = util::arena_make_shared<kern::PageBytes>(nlc::kPageSize, fill);
+  auto bytes = std::make_shared<kern::PageBytes>(nlc::kPageSize, fill);
   return bytes;
 }
 

@@ -9,7 +9,6 @@
 #include "criu/pagestore.hpp"
 #include "criu/restore.hpp"
 #include "net/network.hpp"
-#include "util/arena.hpp"
 #include "net/tcp.hpp"
 #include "sim/simulation.hpp"
 
@@ -121,7 +120,7 @@ TEST(PageStoreTest, ListAndRadixAgreeOnAllPagesOrder) {
 TYPED_TEST(PageStoreTypedTest, ContentPreserved) {
   this->store_.begin_checkpoint(1);
   PageRecord r = rec(5);
-  r.content = util::arena_make_shared<kern::PageBytes>(kPageSize, std::byte{0x7F});
+  r.content = std::make_shared<kern::PageBytes>(kPageSize, std::byte{0x7F});
   this->store_.store(r);
   const PageRecord* back = this->store_.lookup(5);
   ASSERT_TRUE(back->has_content());

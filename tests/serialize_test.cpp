@@ -7,7 +7,6 @@
 #include "net/network.hpp"
 #include "net/tcp.hpp"
 #include "sim/simulation.hpp"
-#include "util/arena.hpp"
 
 namespace nlc::criu {
 namespace {
@@ -83,7 +82,7 @@ CheckpointImage sample_image() {
   PageRecord pr;
   pr.page = 0x1005;
   pr.version = 12;
-  pr.content = util::arena_make_shared<kern::PageBytes>(kPageSize, std::byte{0x42});
+  pr.content = std::make_shared<kern::PageBytes>(kPageSize, std::byte{0x42});
   pr.wire_size = 916;  // delta-compressed on the wire
   img.pages.push_back(pr);
   PageRecord accounting;

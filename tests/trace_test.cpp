@@ -237,14 +237,13 @@ TEST(ExportTest, TextTimelineListsEvents) {
 
 // ----------------------------------------------------------- determinism ----
 
-harness::RunConfig traced_config(bool tracing, int shards) {
+harness::RunConfig traced_config(bool tracing) {
   harness::RunConfig cfg;
   cfg.spec = apps::netecho_spec();
   cfg.spec.kv_pages = 256;
   cfg.mode = harness::Mode::kNiLiCon;
   cfg.warmup = nlc::milliseconds(200);
   cfg.measure = nlc::seconds(2);
-  cfg.nilicon.page_shards = shards;
   cfg.nilicon.trace_level =
       tracing ? core::TraceLevel::kFull : core::TraceLevel::kOff;
   return cfg;
@@ -262,24 +261,20 @@ void expect_same_observables(const harness::RunResult& a,
 }
 
 TEST(TraceDeterminismTest, ObservablesIdenticalTraceOnVsOff) {
-  // Tracing is observer-only: for any shard count, a traced run's simulated
-  // observables are identical to the untraced run's.
-  for (int shards : {1, 8}) {
-    harness::RunResult off = harness::run_experiment(traced_config(false,
-                                                                   shards));
-    harness::RunResult on = harness::run_experiment(traced_config(true,
-                                                                  shards));
-    ASSERT_EQ(off.trace, nullptr);
-    ASSERT_NE(on.trace, nullptr);
-    EXPECT_GT(on.trace->recorded(), 0u);
-    expect_same_observables(off, on);
-  }
+  // Tracing is observer-only: a traced run's simulated observables are
+  // identical to the untraced run's.
+  harness::RunResult off = harness::run_experiment(traced_config(false));
+  harness::RunResult on = harness::run_experiment(traced_config(true));
+  ASSERT_EQ(off.trace, nullptr);
+  ASSERT_NE(on.trace, nullptr);
+  EXPECT_GT(on.trace->recorded(), 0u);
+  expect_same_observables(off, on);
 }
 
 TEST(TraceDeterminismTest, ObservablesIdenticalAcrossTrialJobs) {
   // Same contract under the parallel trial runner: 1 job vs 4 jobs.
   auto trial = [](harness::TrialContext& ctx) {
-    harness::RunConfig cfg = traced_config(true, 1);
+    harness::RunConfig cfg = traced_config(true);
     cfg.seed = 1 + ctx.index;
     harness::RunResult r = harness::run_experiment(cfg);
     ctx.sim_events = r.sim_events;
@@ -301,7 +296,7 @@ TEST(TraceDeterminismTest, ObservablesIdenticalAcrossTrialJobs) {
 // ------------------------------------------------------ failover timeline ----
 
 TEST(TraceFailoverTest, TimelineShowsDetectionRestoreArpRetransmit) {
-  harness::RunConfig cfg = traced_config(true, 1);
+  harness::RunConfig cfg = traced_config(true);
   cfg.measure = nlc::seconds(4);
   cfg.inject_fault = true;
   cfg.kv_validation = true;
@@ -404,7 +399,7 @@ TEST(CriticalPathTest, DecomposesSyntheticEpochExactly) {
 }
 
 TEST(CriticalPathTest, AttributesLiveRunAndSkipsTruncatedEpochs) {
-  harness::RunResult r = harness::run_experiment(traced_config(true, 1));
+  harness::RunResult r = harness::run_experiment(traced_config(true));
   ASSERT_NE(r.trace, nullptr);
   std::vector<Event> ev = r.trace->drain();
   trace::CriticalPath cp(ev);
@@ -470,7 +465,7 @@ TEST(TraceOracleTest, CommitBeforeBarrierRaises) {
 }
 
 TEST(TraceOracleTest, HarnessReportsTraceOrderChecks) {
-  harness::RunConfig cfg = traced_config(true, 1);
+  harness::RunConfig cfg = traced_config(true);
   cfg.nilicon.audit_level = core::AuditLevel::kCommitPoints;
   harness::RunResult r = harness::run_experiment(cfg);
   ASSERT_TRUE(r.audited);

@@ -224,7 +224,7 @@ void rule_no_naked_new(RuleCtx& c) {
       if (is_punct(t, i + 1, "(")) continue;  // placement new
       c.add("no-naked-new", t[i].line,
             "naked new — ownership goes through "
-            "std::make_unique/std::make_shared/util::arena_make_shared");
+            "std::make_unique/std::make_shared");
     } else if (is_ident(t, i, "delete")) {
       if (i > 0 && is_punct(t, i - 1, "=")) continue;  // deleted function
       if (i > 0 && is_ident(t, i - 1, "operator")) continue;
@@ -262,27 +262,6 @@ void rule_no_raw_clock(RuleCtx& c) {
       c.add("no-raw-clock", t[i].line,
             "raw steady_clock — all wall time flows through "
             "util::wall_now_ns() (src/util/time.hpp), one clock domain");
-    }
-  }
-}
-
-void rule_arena_alloc(RuleCtx& c) {
-  if (contains(c.f.path, "util/arena.")) return;
-  const Toks& t = c.f.lex.tokens;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (!is_ident(t, i, "make_shared") && !is_ident(t, i, "make_unique")) {
-      continue;
-    }
-    if (!is_punct(t, i + 1, "<")) continue;
-    std::size_t j = i + 2;
-    if (is_ident(t, j, "kern") && is_punct(t, j + 1, "::")) j += 2;
-    if ((is_ident(t, j, "PageBytes") || is_ident(t, j, "Node")) &&
-        is_punct(t, j + 1, ">")) {
-      c.add("arena-alloc", t[i].line,
-            "raw payload/node heap allocation — use "
-            "util::arena_make_shared (src/util/arena.hpp); a general-purpose "
-            "heap hit per page reopens the epoch hot-path cost (DESIGN.md "
-            "§12)");
     }
   }
 }
@@ -512,8 +491,8 @@ void rule_ptr_sort(RuleCtx& c) {
 /// primary already released. The adaptive epoch controller (`namespace
 /// ... epochctl`, DESIGN.md §15) is held to the same standard for a
 /// different reason: it feeds back into the epoch schedule, so any
-/// non-simulated input would break byte determinism across every
-/// NLC_SHARDS x NLC_JOBS configuration.
+/// non-simulated input would break byte determinism across runs and
+/// NLC_JOBS configurations.
 void rule_replay_wallclock(RuleCtx& c) {
   const Toks& t = c.f.lex.tokens;
   for (std::size_t i = 0; i < t.size(); ++i) {
@@ -551,7 +530,7 @@ void rule_replay_wallclock(RuleCtx& c) {
                             "replay the logged kRngDraw entries instead "
                             "(DESIGN.md §14)"
                           : "ambient randomness diverges the adapted epoch "
-                            "schedule across shard/job configurations "
+                            "schedule across runs and job configurations "
                             "(DESIGN.md §15)"));
       } else if (t[k].text == "random_device" ||
                  kRandomEngines.count(t[k].text) > 0) {
@@ -636,9 +615,8 @@ void rule_detached_this(RuleCtx& c) {
 const std::vector<std::string>& all_rules() {
   static const std::vector<std::string> kRules = {
       "no-assert",      "no-naked-new", "no-raw-thread",     "no-raw-clock",
-      "arena-alloc",    "raw-rand",     "unordered-iter",    "ptr-key",
-      "ptr-sort",       "concurrency-owner", "detached-this",
-      "replay-wallclock"};
+      "raw-rand",       "unordered-iter", "ptr-key",         "ptr-sort",
+      "concurrency-owner", "detached-this", "replay-wallclock"};
   return kRules;
 }
 
@@ -659,7 +637,6 @@ void run_rules(const AnalyzedFile& f, const SymbolTable& sym,
   rule_no_naked_new(c);
   rule_no_raw_thread(c);
   rule_no_raw_clock(c);
-  rule_arena_alloc(c);
   rule_raw_rand(c);
   rule_unordered_iter(c);
   rule_ptr_key(c);
