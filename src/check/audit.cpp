@@ -1,6 +1,5 @@
 #include "check/audit.hpp"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -14,26 +13,18 @@ namespace nlc::check {
 
 std::uint64_t restore_equivalence_walk(const criu::PageStore& store,
                                        const kern::Kernel& kernel,
-                                       kern::ContainerId cid) {
+                                       kern::ContainerId cid,
+                                       MemoryDigest& digest) {
   // Restored memory must equal the committed page store byte for byte:
   // walk the restored container's resident content pages before the
   // application resumes and compare against the store's committed copies.
   std::uint64_t compared = 0;
   for (const kern::Process* p : kernel.container_processes(cid)) {
-    // Walk pages in ascending page-number order, not hash order: when more
-    // than one page diverges, the report (and the failing-check identity a
-    // negative test asserts on) must not depend on allocation addresses.
-    std::vector<std::pair<kern::PageNum, const kern::AddressSpace::PageState*>>
-        resident;
-    resident.reserve(p->mm().page_states().size());
-    // NLC_LINT_OK(unordered-iter): hash-order collection; sorted below
-    for (const auto& [pg, st] : p->mm().page_states()) {
-      resident.emplace_back(pg, &st);
-    }
-    std::sort(resident.begin(), resident.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [page, state_ptr] : resident) {
-      const kern::AddressSpace::PageState& state = *state_ptr;
+    // page_states() is ascending: when more than one page diverges, the
+    // report (and the failing-check identity a negative test asserts on)
+    // does not depend on allocation addresses.
+    for (const auto& [page, state] : p->mm().page_states()) {
+      digest.page(page, state.version, state.payload.get(), kPageSize);
       if (!state.payload) continue;
       const criu::PageRecord* rec = store.lookup(page);
       NLC_CHECK_MSG(rec != nullptr,
@@ -76,7 +67,7 @@ void ReplicaAudit::on_recovered(std::uint64_t committed_epoch) {
   epoch_.recovered(committed_epoch);
   restore_equiv_checks_ += restore_equivalence_walk(
       cluster_->backup(index_).page_store(),
-      cluster_->backup_kernel_of(index_), cid_);
+      cluster_->backup_kernel_of(index_), cid_, restore_digest_);
 }
 
 void ReplicaAudit::on_resilver_adopted(std::uint64_t committed_epoch) {
@@ -181,11 +172,14 @@ AuditStats InvariantAuditor::stats() const {
   st.replay_equivalence_checks = replay_.checks();
   st.quorum_checks = quorum_.checks();
   st.sweeps = sweeps_;
+  MemoryDigest digest = digest_;
   for (const auto& ra : replica_audits_) {
     st.epoch_commit_checks += ra->epoch_checks();
     st.store_equivalence_checks += ra->store_checks();
     st.restore_equivalence_checks += ra->restore_checks();
+    digest.fold(ra->restore_digest());
   }
+  st.memory_digest = digest.value();
   return st;
 }
 
@@ -228,6 +222,7 @@ void InvariantAuditor::on_state_ready(const core::EpochStateMsg& msg,
   NLC_CHECK_MSG(msg.image.full == initial,
                 "audit: only the initial synchronization ships a full image");
   if (replay_mode_) replay_.checkpoint_stamped(msg.nd_entries, msg.nd_fp);
+  digest_.image(msg.image);
   if (level_ == core::AuditLevel::kContinuous) {
     // The payloads in this image must stay frozen from here through ship,
     // fold and store residency, no matter what the container writes next.
@@ -315,7 +310,8 @@ void InvariantAuditor::on_recovery_started(std::uint64_t committed_epoch) {
 void InvariantAuditor::on_recovered(std::uint64_t committed_epoch) {
   epoch_.recovered(committed_epoch);
   restore_equiv_checks_ += restore_equivalence_walk(
-      cluster_->backup_agent->page_store(), *cluster_->backup_kernel, cid_);
+      cluster_->backup_agent->page_store(), *cluster_->backup_kernel, cid_,
+      digest_);
   if (level_ == core::AuditLevel::kContinuous) freeze_.verify_all();
 }
 

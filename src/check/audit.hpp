@@ -38,10 +38,12 @@ namespace nlc::check {
 /// Byte-equivalence walk of a restored container against a committed page
 /// store (shared by the auditor and the per-replica adapters, so a
 /// promoted extra replica gets the same post-failover audit as replica 0).
-/// Returns the number of pages compared.
+/// Returns the number of pages compared; every resident page (content or
+/// accounting) is folded into `digest`.
 std::uint64_t restore_equivalence_walk(const criu::PageStore& store,
                                        const kern::Kernel& kernel,
-                                       kern::ContainerId cid);
+                                       kern::ContainerId cid,
+                                       MemoryDigest& digest);
 
 /// Per-replica audit adapter for extra backup replicas (N > 1, DESIGN.md
 /// §16). Each extra replica runs the same backup-side epoch lifecycle as
@@ -70,6 +72,7 @@ class ReplicaAudit final : public core::BackupAuditHooks,
   std::uint64_t epoch_checks() const { return epoch_.checks(); }
   std::uint64_t store_checks() const { return store_.checks(); }
   std::uint64_t restore_checks() const { return restore_equiv_checks_; }
+  std::uint64_t restore_digest() const { return restore_digest_.value(); }
 
  private:
   core::Cluster* cluster_;
@@ -78,6 +81,7 @@ class ReplicaAudit final : public core::BackupAuditHooks,
   EpochCommitChecker epoch_;
   StoreEquivalenceChecker store_;
   std::uint64_t restore_equiv_checks_ = 0;
+  MemoryDigest restore_digest_;
 };
 
 class InvariantAuditor final : public net::PlugObserver,
@@ -186,6 +190,7 @@ class InvariantAuditor final : public net::PlugObserver,
 
   std::uint64_t sweeps_ = 0;
   std::uint64_t restore_equiv_checks_ = 0;
+  MemoryDigest digest_;
 };
 
 }  // namespace nlc::check

@@ -24,12 +24,41 @@
 #include "criu/pagestore.hpp"
 #include "kernel/address_space.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace nlc::check {
 
 /// FNV-1a fingerprint of a page payload — the freeze stamp the COW audit
 /// compares against.
 std::uint64_t fnv1a_page(const kern::PageBytes& bytes);
+
+/// Order-sensitive fingerprint of the memory a run produces: every shipped
+/// image's page records (page, version, content hash, wire size) and every
+/// restored container's resident pages. Not an invariant but a regression
+/// pin: builds that keep the simulated memory model byte-identical produce
+/// the same value for the same config and seed (tests/golden_test.cpp).
+class MemoryDigest {
+ public:
+  void page(kern::PageNum page, std::uint64_t version,
+            const kern::PageBytes* bytes, std::uint64_t wire_size) {
+    fold(page);
+    fold(version);
+    fold(bytes != nullptr ? fnv1a_page(*bytes) : 0);
+    fold(wire_size);
+  }
+  void image(const criu::CheckpointImage& img) {
+    fold(img.epoch);
+    fold(img.pages.size());
+    for (const criu::PageRecord& r : img.pages) {
+      page(r.page, r.version, r.content.get(), r.wire_size);
+    }
+  }
+  void fold(std::uint64_t v) { h_ = splitmix64(h_ ^ v); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0;
+};
 
 /// Counters the auditor reports after a run (one per invariant family).
 struct AuditStats {
@@ -52,6 +81,9 @@ struct AuditStats {
   /// monotonicity, quorum-cursor re-derivation, K-of-N release gating and
   /// the promotion decision.
   std::uint64_t quorum_checks = 0;
+  /// MemoryDigest over the run's shipped images and restored memory
+  /// (a fingerprint, not a check: total() leaves it out).
+  std::uint64_t memory_digest = 0;
 
   std::uint64_t total() const {
     return output_commit_checks + epoch_commit_checks +

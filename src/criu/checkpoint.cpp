@@ -1,34 +1,8 @@
 #include "criu/checkpoint.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
-#include "util/simd.hpp"
 
 namespace nlc::criu {
-
-namespace {
-
-/// Distance (in entries) the harvest fill prefetches ahead of itself: far
-/// enough to cover a memory round trip at ~8 entries of fill work, near
-/// enough that the line is still resident when reached.
-constexpr std::size_t kFillPrefetch = 8;
-
-/// Appends `n` page records filled from an index-addressable source;
-/// returns the number of content pages among them.
-template <typename FillOne>
-std::uint64_t fill_page_records(std::vector<PageRecord>& pages,
-                                std::size_t n, FillOne fill_one) {
-  const std::size_t base = pages.size();
-  pages.resize(base + n);
-  std::uint64_t content = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (fill_one(i, pages[base + i])) ++content;
-  }
-  return content;
-}
-
-}  // namespace
 
 InfrequentState CheckpointEngine::harvest_infrequent(kern::ContainerId cid,
                                                      Time* cost_out) const {
@@ -162,57 +136,34 @@ HarvestResult CheckpointEngine::harvest(kern::ContainerId cid,
   // per content page); copy-on-write in the address space keeps the image
   // stable once the container thaws.
   std::uint64_t scanned_pages = 0;
+  auto add_record = [&](kern::PageNum page,
+                        const kern::AddressSpace::PageState& st) {
+    PageRecord& rec = img.pages.emplace_back();
+    rec.page = page;
+    rec.version = st.version;
+    rec.content = st.payload;
+    if (rec.has_content()) ++r.content_pages;
+  };
   for (kern::Process* p : procs) {
     kern::AddressSpace& mm = p->mm();
     scanned_pages += mm.mapped_pages();
-    const auto& states = mm.page_states();
     if (opts.incremental) {
-      // The dirty list already carries (page, state*) pairs (DESIGN.md
-      // §10): sorting the contiguous vector restores deterministic image
-      // order, and the fill below is a linear scan with zero hash probes.
-      std::vector<kern::AddressSpace::DirtyRef> dirty(
-          mm.dirty_pages().begin(), mm.dirty_pages().end());
-      std::sort(dirty.begin(), dirty.end(),
-                [](const kern::AddressSpace::DirtyRef& a,
-                   const kern::AddressSpace::DirtyRef& b) {
-                  return a.page < b.page;
-                });
-      r.content_pages += fill_page_records(
-          img.pages, dirty.size(), [&](std::size_t i, PageRecord& rec) {
-            // Pull the page state a few entries ahead; the shared-handle
-            // copy below is the first (otherwise cold) touch.
-            if (i + kFillPrefetch < dirty.size()) {
-              util::prefetch_read(dirty[i + kFillPrefetch].state);
-            }
-            const kern::AddressSpace::DirtyRef& d = dirty[i];
-            rec.page = d.page;
-            rec.version = d.state->version;
-            rec.content = d.state->payload;
-            return rec.has_content();
-          });
+      // The pagemap scan: the soft-dirty bitmaps yield the dirty pages in
+      // ascending order with direct page-state pointers (DESIGN.md §10).
+      const std::vector<kern::AddressSpace::DirtyRef> dirty =
+          mm.dirty_pages();
+      img.pages.reserve(img.pages.size() + dirty.size());
+      for (const kern::AddressSpace::DirtyRef& d : dirty) {
+        add_record(d.page, *d.state);
+      }
     } else {
       // Full dump: only pages that were ever touched are present — anon
       // pages never written have no physical frame and CRIU does not dump
-      // holes. Restored holes read as zeros either way. Walking the
-      // resident map (instead of probing every page of every VMA) skips
-      // holes for free and avoids a per-page hash lookup.
-      std::vector<std::pair<kern::PageNum, const kern::AddressSpace::PageState*>>
-          resident;
-      resident.reserve(states.size());
-      // NLC_LINT_OK(unordered-iter): hash-order collection; sorted below
-      for (const auto& [pg, st] : states) resident.emplace_back(pg, &st);
-      std::sort(resident.begin(), resident.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      r.content_pages += fill_page_records(
-          img.pages, resident.size(), [&](std::size_t i, PageRecord& rec) {
-            if (i + kFillPrefetch < resident.size()) {
-              util::prefetch_read(resident[i + kFillPrefetch].second);
-            }
-            rec.page = resident[i].first;
-            rec.version = resident[i].second->version;
-            rec.content = resident[i].second->payload;
-            return rec.has_content();
-          });
+      // holes. Restored holes read as zeros either way. The resident view
+      // skips holes and is already in page order.
+      const kern::AddressSpace::PageStates states = mm.page_states();
+      img.pages.reserve(img.pages.size() + states.size());
+      for (const auto& [page, st] : states) add_record(page, st);
     }
     // This checkpoint captured everything dirty: re-arm tracking.
     mm.clear_soft_dirty();

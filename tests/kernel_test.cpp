@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <optional>
+#include <vector>
 
 #include "kernel/address_space.hpp"
 #include "kernel/cpu.hpp"
@@ -9,6 +13,7 @@
 #include "kernel/kernel.hpp"
 #include "sim/simulation.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 
 namespace nlc::kern {
 namespace {
@@ -179,6 +184,341 @@ TEST(AddressSpaceTest, PageVersionMonotone) {
   as.touch(start);
   as.touch(start);
   EXPECT_EQ(as.page_version(start), v0 + 2);
+}
+
+TEST(AddressSpaceTest, TouchRangePastVmaEndThrowsBeforeTouching) {
+  AddressSpace as;
+  auto start = as.map(4, VmaKind::kAnon).start;
+  as.clear_soft_dirty();
+  EXPECT_THROW(as.touch_range(start + 2, 3), InvariantError);
+  EXPECT_TRUE(as.dirty_pages().empty());
+  EXPECT_EQ(as.page_version(start + 2), 0u);
+  EXPECT_EQ(as.page_version(start + 3), 0u);
+  EXPECT_EQ(as.page_states().size(), 0u);
+  EXPECT_EQ(as.touch_range(start + 2, 2), 2u);  // exactly to the end: fine
+}
+
+TEST(AddressSpaceTest, DirtyListAndResidentViewAreAscending) {
+  // VMAs installed in descending start order, as a restore may do.
+  AddressSpace as;
+  Vma hi;
+  hi.id = 1;
+  hi.start = 0x9000;
+  hi.npages = 100;
+  Vma lo = hi;
+  lo.id = 2;
+  lo.start = 0x5000;
+  as.install_vma(hi);
+  as.install_vma(lo);
+  EXPECT_EQ(as.vmas()[0].start, 0x9000u);  // insertion order kept
+  as.clear_soft_dirty();
+  for (PageNum p : {0x9063ull, 0x5000ull, 0x9000ull, 0x5040ull, 0x503Full}) {
+    as.touch(p);
+  }
+  std::vector<PageNum> dirty;
+  for (const AddressSpace::DirtyRef& d : as.dirty_pages()) {
+    dirty.push_back(d.page);
+  }
+  std::vector<PageNum> want{0x5000, 0x503F, 0x5040, 0x9000, 0x9063};
+  EXPECT_EQ(dirty, want);
+  std::vector<PageNum> resident;
+  for (const auto& [page, st] : as.page_states()) {
+    EXPECT_EQ(st.version, 1u);
+    resident.push_back(page);
+  }
+  EXPECT_EQ(resident, want);
+}
+
+/// Reference model of an address space: one std::map entry per resident
+/// page, VMAs in a plain list. Everything AddressSpace answers is derived
+/// here independently, without tables or bitmaps.
+class AddressSpaceModel {
+ public:
+  struct Page {
+    std::uint64_t version = 0;
+    std::shared_ptr<const PageBytes> bytes;  // null for accounting pages
+    bool dirty = false;
+  };
+
+  std::vector<Vma> vmas;
+  std::map<PageNum, Page> pages;  // resident pages only
+  /// Handles the test holds on page payloads (what a checkpoint image or
+  /// page store would pin); a write to such a page must clone.
+  std::map<PageNum, PagePayload> held;
+  bool tracking = false;
+  std::uint64_t cow_clones = 0;
+  std::uint64_t next_id = 1;
+  PageNum next_page = 0x1000;
+
+  const Vma* vma_of(PageNum p) const {
+    for (const Vma& v : vmas) {
+      if (v.contains(p)) return &v;
+    }
+    return nullptr;
+  }
+  bool overlaps(PageNum start, std::uint64_t n) const {
+    for (const Vma& v : vmas) {
+      if (start < v.end() && v.start < start + n) return true;
+    }
+    return false;
+  }
+  /// One page dirtied; returns the expected write-fault result.
+  bool dirty_page(Page& pg) {
+    ++pg.version;
+    if (!tracking || pg.dirty) return false;
+    pg.dirty = true;
+    return true;
+  }
+  void clear_dirty() {
+    for (auto& [p, pg] : pages) pg.dirty = false;
+  }
+};
+
+/// Compares every observable of `as` with the model.
+void expect_matches(const AddressSpace& as, const AddressSpaceModel& m,
+                    Rng& rng) {
+  ASSERT_EQ(as.vmas().size(), m.vmas.size());
+  std::uint64_t mapped = 0;
+  for (std::size_t i = 0; i < m.vmas.size(); ++i) {
+    EXPECT_EQ(as.vmas()[i].id, m.vmas[i].id);
+    EXPECT_EQ(as.vmas()[i].start, m.vmas[i].start);
+    EXPECT_EQ(as.vmas()[i].npages, m.vmas[i].npages);
+    mapped += m.vmas[i].npages;
+  }
+  EXPECT_EQ(as.mapped_pages(), mapped);
+  EXPECT_EQ(as.tracking(), m.tracking);
+  EXPECT_EQ(as.cow_clones(), m.cow_clones);
+
+  // Dirty list: ascending, exactly the model's dirty set, state pointers
+  // live and current.
+  std::vector<AddressSpace::DirtyRef> dirty = as.dirty_pages();
+  std::vector<PageNum> want_dirty;
+  for (const auto& [p, pg] : m.pages) {
+    if (pg.dirty) want_dirty.push_back(p);
+  }
+  ASSERT_EQ(dirty.size(), want_dirty.size());
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    ASSERT_EQ(dirty[i].page, want_dirty[i]);
+    EXPECT_EQ(dirty[i].state->version, m.pages.at(want_dirty[i]).version);
+  }
+
+  // Resident view: ascending, same pages, versions and content handles.
+  EXPECT_EQ(as.page_states().size(), m.pages.size());
+  auto mit = m.pages.begin();
+  for (const auto& [page, st] : as.page_states()) {
+    ASSERT_NE(mit, m.pages.end());
+    ASSERT_EQ(page, mit->first);
+    EXPECT_EQ(st.version, mit->second.version);
+    EXPECT_EQ(st.payload == nullptr, mit->second.bytes == nullptr);
+    ++mit;
+  }
+  EXPECT_EQ(mit, m.pages.end());
+
+  for (const auto& [p, pg] : m.pages) {
+    EXPECT_EQ(as.page_version(p), pg.version);
+    PagePayload c = as.content(p);
+    ASSERT_EQ(c == nullptr, pg.bytes == nullptr);
+    if (c != nullptr) {
+      EXPECT_EQ(*c, *pg.bytes);
+    }
+  }
+
+  // A few probes: mapped-but-never-touched and unmapped pages read as
+  // null / zeros / version 0, and content reads match byte for byte.
+  for (int i = 0; i < 4; ++i) {
+    auto p = static_cast<PageNum>(rng.uniform(0, 0x1000 + 4000));
+    if (m.pages.count(p) != 0) continue;
+    EXPECT_EQ(as.page_version(p), 0u);
+    EXPECT_EQ(as.content(p), nullptr);
+    std::vector<std::byte> z = as.read(p, 100, 8);
+    EXPECT_EQ(z, std::vector<std::byte>(8, std::byte{0}));
+  }
+  if (!m.pages.empty()) {
+    auto it = m.pages.begin();
+    std::advance(it, rng.uniform(0, static_cast<std::int64_t>(
+                                        m.pages.size()) - 1));
+    auto off = static_cast<std::uint32_t>(rng.uniform(0, kPageSize - 64));
+    std::vector<std::byte> got = as.read(it->first, off, 64);
+    std::vector<std::byte> want(64, std::byte{0});
+    if (it->second.bytes) {
+      std::copy_n(it->second.bytes->begin() + off, 64, want.begin());
+    }
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST(AddressSpaceDifferentialTest, RandomOpsMatchReferenceModel) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    AddressSpace as;
+    AddressSpaceModel m;
+
+    // A page inside a random VMA (or null if nothing is mapped).
+    auto mapped_page = [&]() -> std::optional<PageNum> {
+      if (m.vmas.empty()) return std::nullopt;
+      const Vma& v = m.vmas[static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(m.vmas.size()) - 1))];
+      return v.start + static_cast<PageNum>(
+                           rng.uniform(0, static_cast<std::int64_t>(
+                                              v.npages) - 1));
+    };
+    auto random_bytes = [&](std::size_t n) {
+      std::vector<std::byte> b(n);
+      for (auto& x : b) x = static_cast<std::byte>(rng.uniform(0, 255));
+      return b;
+    };
+
+    for (int step = 0; step < 1500; ++step) {
+      int op = static_cast<int>(rng.uniform(0, 99));
+      if (op < 6 && m.vmas.size() < 10) {
+        // map
+        auto n = static_cast<std::uint64_t>(rng.uniform(1, 150));
+        Vma v = as.map(n, VmaKind::kAnon);
+        EXPECT_EQ(v.id, m.next_id);
+        EXPECT_EQ(v.start, m.next_page);
+        m.next_id = v.id + 1;
+        m.next_page = v.end() + 16;
+        m.vmas.push_back(v);
+      } else if (op < 12 && m.vmas.size() < 10) {
+        // install_vma: below the lowest mapping (descending starts, as a
+        // restore does), adjacent to one, or anywhere (may overlap).
+        auto n = static_cast<std::uint64_t>(rng.uniform(1, 150));
+        PageNum lowest = m.next_page;
+        for (const Vma& e : m.vmas) lowest = std::min(lowest, e.start);
+        Vma v;
+        // Any id at or past the model's cursor is unused.
+        v.id = m.next_id + static_cast<std::uint64_t>(rng.uniform(0, 3));
+        v.npages = n;
+        int where = static_cast<int>(rng.uniform(0, 2));
+        if (where == 0 && lowest > n + 32) {
+          v.start = lowest - n - static_cast<PageNum>(rng.uniform(0, 16));
+        } else if (where == 1 && !m.vmas.empty()) {
+          v.start = m.vmas[static_cast<std::size_t>(rng.uniform(
+                               0, static_cast<std::int64_t>(m.vmas.size()) -
+                                      1))]
+                        .end();
+        } else {
+          v.start = static_cast<PageNum>(rng.uniform(0x100, 0x1000 + 3000));
+        }
+        if (m.overlaps(v.start, n)) {
+          EXPECT_THROW(as.install_vma(v), InvariantError);
+        } else {
+          as.install_vma(v);
+          m.next_id = std::max(m.next_id, v.id + 1);
+          m.next_page = std::max(m.next_page, v.end() + 16);
+          m.vmas.push_back(v);
+        }
+      } else if (op < 16 && !m.vmas.empty()) {
+        // unmap, preferring a VMA that holds dirty pages
+        std::size_t pick = static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(m.vmas.size()) - 1));
+        for (std::size_t i = 0; i < m.vmas.size(); ++i) {
+          const Vma& v = m.vmas[i];
+          auto it = m.pages.lower_bound(v.start);
+          if (it != m.pages.end() && it->first < v.end() &&
+              it->second.dirty) {
+            pick = i;
+            break;
+          }
+        }
+        Vma v = m.vmas[pick];
+        as.unmap(v.id);
+        for (PageNum p = v.start; p < v.end(); ++p) {
+          m.pages.erase(p);
+          m.held.erase(p);
+        }
+        m.vmas.erase(m.vmas.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else if (op < 45) {
+        // touch, sometimes of an unmapped page
+        std::optional<PageNum> p = mapped_page();
+        if (!p || rng.chance(0.1)) {
+          auto q = static_cast<PageNum>(rng.uniform(0, 0x1000 + 4000));
+          if (m.vma_of(q) == nullptr) {
+            EXPECT_THROW(as.touch(q), InvariantError);
+            continue;
+          }
+          p = q;
+        }
+        bool fault = m.dirty_page(m.pages[*p]);
+        EXPECT_EQ(as.touch(*p), fault);
+      } else if (op < 58) {
+        // touch_range, sometimes overrunning its VMA (must not mutate)
+        std::optional<PageNum> p = mapped_page();
+        if (!p) continue;
+        const Vma& v = *m.vma_of(*p);
+        std::uint64_t room = v.end() - *p;
+        auto count = static_cast<std::uint64_t>(
+            rng.uniform(0, static_cast<std::int64_t>(room) + 3));
+        if (count > room) {
+          EXPECT_THROW(as.touch_range(*p, count), InvariantError);
+        } else {
+          std::uint64_t faults = 0;
+          for (std::uint64_t i = 0; i < count; ++i) {
+            faults += m.dirty_page(m.pages[*p + i]) ? 1 : 0;
+          }
+          EXPECT_EQ(as.touch_range(*p, count), faults);
+        }
+      } else if (op < 75) {
+        // write
+        std::optional<PageNum> p = mapped_page();
+        if (!p) continue;
+        auto len = static_cast<std::size_t>(rng.uniform(1, 64));
+        auto off = static_cast<std::uint32_t>(
+            rng.uniform(0, static_cast<std::int64_t>(kPageSize - len)));
+        std::vector<std::byte> data = random_bytes(len);
+        AddressSpaceModel::Page& pg = m.pages[*p];
+        auto next = std::make_shared<PageBytes>(
+            pg.bytes ? *pg.bytes : PageBytes(kPageSize, std::byte{0}));
+        std::copy(data.begin(), data.end(), next->begin() + off);
+        auto h = m.held.find(*p);
+        if (h != m.held.end() && pg.bytes && h->second == as.content(*p)) {
+          ++m.cow_clones;
+        }
+        pg.bytes = next;
+        bool fault = m.dirty_page(pg);
+        EXPECT_EQ(as.write(*p, off, data), fault);
+        if (h != m.held.end()) {
+          // The held handle still shows the bytes from before the write.
+          EXPECT_NE(h->second.get(), as.content(*p).get());
+        }
+      } else if (op < 82) {
+        // install_content (restore path); the test may keep the handle
+        std::optional<PageNum> p = mapped_page();
+        if (!p) continue;
+        auto bytes =
+            std::make_shared<const PageBytes>(random_bytes(kPageSize));
+        AddressSpaceModel::Page& pg = m.pages[*p];
+        pg.bytes = bytes;
+        m.dirty_page(pg);
+        as.install_content(*p, bytes);
+        if (rng.chance(0.5)) {
+          m.held[*p] = bytes;
+        } else {
+          m.held.erase(*p);
+        }
+      } else if (op < 88) {
+        // take or drop a checkpoint-style handle on a content page
+        std::optional<PageNum> p = mapped_page();
+        if (!p) continue;
+        if (m.held.count(*p) != 0) {
+          m.held.erase(*p);
+        } else if (PagePayload c = as.content(*p)) {
+          m.held[*p] = c;
+        }
+      } else if (op < 96) {
+        as.clear_soft_dirty();
+        m.tracking = true;
+        m.clear_dirty();
+      } else {
+        as.disable_tracking();
+        m.tracking = false;
+        m.clear_dirty();
+      }
+      ASSERT_NO_FATAL_FAILURE(expect_matches(as, m, rng)) << "step " << step;
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- CPU ----
