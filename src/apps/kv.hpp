@@ -8,9 +8,12 @@
 // the real content-page checkpoint path.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -31,27 +34,60 @@ struct KvOp {
 
 inline constexpr std::size_t kKvOpWireSize = 24;
 
-/// Deterministic value byte at position i for a (seed, len) value.
+/// Deterministic value byte at position i for a (seed, len) value: byte
+/// i % 8 (little-endian order) of splitmix64(seed + i / 8).
 inline std::byte kv_value_byte(std::uint64_t seed, std::uint32_t i) {
   return static_cast<std::byte>(splitmix64(seed + i / 8) >> ((i % 8) * 8));
+}
+
+/// Calls f(byte) for each byte of the (seed, out-length) value in order,
+/// one splitmix64 per 8-byte word; the bytes equal kv_value_byte's.
+template <class F>
+inline void kv_value_for_each(std::uint64_t seed, std::size_t len, F&& f) {
+  for (std::size_t w = 0; w * 8 < len; ++w) {
+    const std::uint64_t word = splitmix64(seed + w);
+    const std::size_t n = std::min<std::size_t>(8, len - w * 8);
+    for (std::size_t b = 0; b < n; ++b) {
+      f(static_cast<std::byte>(word >> (b * 8)));
+    }
+  }
+}
+
+/// Writes the value of `seed` with length out.size() into `out`.
+inline void kv_value_fill(std::uint64_t seed, std::span<std::byte> out) {
+  std::byte* p = out.data();
+  kv_value_for_each(seed, out.size(), [&p](std::byte b) { *p++ = b; });
 }
 
 inline std::vector<std::byte> kv_value_bytes(std::uint64_t seed,
                                              std::uint16_t len) {
   std::vector<std::byte> out(len);
-  for (std::uint32_t i = 0; i < len; ++i) out[i] = kv_value_byte(seed, i);
+  kv_value_fill(seed, out);
   return out;
 }
+
+inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 /// FNV-1a over a byte range; used to verify that GET responses reflect
 /// bytes that really round-tripped through checkpoint/restore.
 inline std::uint64_t kv_content_hash(const std::byte* data,
                                      std::size_t len) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::uint64_t h = kFnvOffset;
   for (std::size_t i = 0; i < len; ++i) {
     h ^= static_cast<std::uint64_t>(data[i]);
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
+  return h;
+}
+
+/// kv_content_hash of the (seed, len) value, without materializing it.
+inline std::uint64_t kv_value_hash(std::uint64_t seed, std::uint16_t len) {
+  std::uint64_t h = kFnvOffset;
+  kv_value_for_each(seed, len, [&h](std::byte b) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= kFnvPrime;
+  });
   return h;
 }
 

@@ -1,6 +1,7 @@
 #include "apps/server_app.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "util/assert.hpp"
 
@@ -155,8 +156,7 @@ std::shared_ptr<std::vector<std::byte>> ServerApp::apply_kv(
       std::memcpy(cell.data(), &op.len, 2);
       std::memcpy(cell.data() + 2, &op.seed, 8);
       cell[10] = std::byte{1};  // occupied
-      auto value = kv_value_bytes(op.seed, op.len);
-      std::copy(value.begin(), value.end(), cell.begin() + 16);
+      kv_value_fill(op.seed, std::span(cell).subspan(16));
       p->mm().write(page, 0, cell);
       op.found = true;
     } else {
@@ -225,13 +225,13 @@ sim::task<> ServerApp::serve_one(
   }
   // Filesystem persistence.
   if (spec_.disk_bytes_per_request > 0 && data_file_ != 0) {
-    std::vector<std::byte> blob(
-        static_cast<std::size_t>(
-            static_cast<double>(spec_.disk_bytes_per_request) * scale),
-        std::byte{0x5C});
+    auto len = static_cast<std::size_t>(
+        static_cast<double>(spec_.disk_bytes_per_request) * scale);
+    if (disk_blob_.size() < len) disk_blob_.assign(len, std::byte{0x5C});
     std::uint64_t off = disk_cursor_ % kDataFileBytes;
-    disk_cursor_ += blob.size();
-    env_.kernel->fs().write(data_file_, off, blob,
+    disk_cursor_ += len;
+    env_.kernel->fs().write(data_file_, off,
+                            std::span(disk_blob_).first(len),
                             static_cast<std::uint64_t>(env_.sim->now()));
   }
 }

@@ -98,6 +98,9 @@ class ServerApp {
   Region kv_;                  // process 0 only (kv_pages > 0)
   kern::InodeNum data_file_ = 0;
   std::uint64_t disk_cursor_ = 0;
+  /// Constant 0x5C bytes every persistence write copies from, grown to the
+  /// largest request's length.
+  std::vector<std::byte> disk_blob_;
   Rng rng_;
   double dilation_ = 1.0;
   std::uint64_t requests_completed_ = 0;

@@ -8,12 +8,16 @@
 // epoch, the epoch commits: the buffered writes are applied to the backup
 // disk. On failover, writes of the uncommitted epoch are discarded, so the
 // backup disk holds exactly the state of the last committed checkpoint.
+//
+// A write carries the page payload handle the filesystem flushed
+// (DESIGN.md §7): the local disk, every fan-out copy, a chain hop and the
+// backup's commit all share it, so no stage moves page bytes. The wire
+// cost stays kPageSize plus a header per write.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <optional>
-#include <span>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -28,7 +32,7 @@ namespace nlc::blk {
 struct DiskWrite {
   kern::InodeNum ino = 0;
   std::uint64_t page = 0;
-  std::vector<std::byte> data;
+  kern::PagePayload data;
 };
 
 struct Barrier {
@@ -37,6 +41,15 @@ struct Barrier {
 
 using DrbdMessage = std::variant<DiskWrite, Barrier>;
 
+/// Observer seam for the invariant auditor (src/check) on the primary
+/// side: reports every write the primary ships, so the payload-freeze
+/// audit can pin the handle the replicas will apply.
+class DrbdShipObserver {
+ public:
+  virtual ~DrbdShipObserver() = default;
+  virtual void on_drbd_write_shipped(const DiskWrite& w) = 0;
+};
+
 /// Primary-side DRBD: local write-through + async replication.
 class DrbdPrimary : public kern::BlockStore {
  public:
@@ -44,23 +57,27 @@ class DrbdPrimary : public kern::BlockStore {
       : local_(&local), channels_{&to_backup} {}
 
   void write_block(kern::InodeNum ino, std::uint64_t page,
-                   std::span<const std::byte> data) override {
+                   kern::PagePayload data) override {
+    const std::uint64_t wire = data->size() + kWriteHeaderBytes;
     local_->write_block(ino, page, data);
-    const std::uint64_t wire = data.size() + kWriteHeaderBytes;
-    DiskWrite w{ino, page, {data.begin(), data.end()}};
+    DiskWrite w{ino, page, std::move(data)};
+    if (observer_ != nullptr) observer_->on_drbd_write_shipped(w);
     // Star fan-out (DESIGN.md §16): every directly-fed replica gets its own
-    // copy of the write stream; the channels share the primary's
-    // replication NIC, so the copies contend there.
+    // copy of the write stream (a handle, not the bytes); the channels
+    // share the primary's replication NIC, so the copies contend there.
     for (std::size_t i = 0; i + 1 < channels_.size(); ++i) {
       channels_[i]->send(DrbdMessage{w}, wire);
     }
     channels_.back()->send(DrbdMessage{std::move(w)}, wire);
   }
 
-  std::optional<std::vector<std::byte>> read_block(
-      kern::InodeNum ino, std::uint64_t page) const override {
+  kern::PagePayload read_block(kern::InodeNum ino,
+                               std::uint64_t page) const override {
     return local_->read_block(ino, page);
   }
+
+  /// Installs (or clears, with nullptr) the audit observer.
+  void set_observer(DrbdShipObserver* o) { observer_ = o; }
 
   /// End-of-epoch barrier (sent by the primary agent at each pause).
   void send_barrier(std::uint64_t epoch) {
@@ -82,6 +99,7 @@ class DrbdPrimary : public kern::BlockStore {
  private:
   Disk* local_;
   std::vector<net::Channel<DrbdMessage>*> channels_;
+  DrbdShipObserver* observer_ = nullptr;
 };
 
 /// Observer seam for the invariant auditor (src/check): reports when
@@ -116,7 +134,7 @@ class DrbdBackup {
         const auto* fw = std::get_if<DiskWrite>(&m);
         forward_->send(DrbdMessage{m},
                        fw != nullptr
-                           ? fw->data.size() + DrbdPrimary::kWriteHeaderBytes
+                           ? fw->data->size() + DrbdPrimary::kWriteHeaderBytes
                            : DrbdPrimary::kBarrierBytes);
       }
       if (auto* w = std::get_if<DiskWrite>(&m)) {
@@ -156,8 +174,8 @@ class DrbdBackup {
   /// Applies all buffered writes up to and including `epoch`.
   void commit(std::uint64_t epoch) {
     while (!epochs_.empty() && epochs_.front().epoch <= epoch) {
-      for (const DiskWrite& w : epochs_.front().writes) {
-        local_->write_block(w.ino, w.page, w.data);
+      for (DiskWrite& w : epochs_.front().writes) {
+        local_->write_block(w.ino, w.page, std::move(w.data));
         ++writes_committed_;
       }
       committed_epoch_ = epochs_.front().epoch;

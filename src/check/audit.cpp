@@ -68,6 +68,7 @@ void ReplicaAudit::on_recovered(std::uint64_t committed_epoch) {
   restore_equiv_checks_ += restore_equivalence_walk(
       cluster_->backup(index_).page_store(),
       cluster_->backup_kernel_of(index_), cid_, restore_digest_);
+  restore_storage_.cache(cluster_->backup_kernel_of(index_).fs());
 }
 
 void ReplicaAudit::on_resilver_adopted(std::uint64_t committed_epoch) {
@@ -116,6 +117,7 @@ void InvariantAuditor::attach() {
   cluster_->primary_agent->set_audit_hooks(this);
   cluster_->backup_agent->set_audit_hooks(this);
   cluster_->drbd_backup->set_observer(this);
+  cluster_->drbd_primary->set_observer(this);
   for (std::size_t i = 0; i < replica_audits_.size(); ++i) {
     core::Cluster::BackupReplica& r = *cluster_->extra_backups[i];
     r.agent->set_audit_hooks(replica_audits_[i].get());
@@ -148,6 +150,7 @@ void InvariantAuditor::detach() {
   if (cluster_->primary_agent) cluster_->primary_agent->set_audit_hooks(nullptr);
   if (cluster_->backup_agent) cluster_->backup_agent->set_audit_hooks(nullptr);
   cluster_->drbd_backup->set_observer(nullptr);
+  cluster_->drbd_primary->set_observer(nullptr);
   for (std::size_t i = 0; i < replica_audits_.size(); ++i) {
     core::Cluster::BackupReplica& r = *cluster_->extra_backups[i];
     if (r.agent) r.agent->set_audit_hooks(nullptr);
@@ -173,13 +176,27 @@ AuditStats InvariantAuditor::stats() const {
   st.quorum_checks = quorum_.checks();
   st.sweeps = sweeps_;
   MemoryDigest digest = digest_;
+  StorageDigest storage = storage_;
   for (const auto& ra : replica_audits_) {
     st.epoch_commit_checks += ra->epoch_checks();
     st.store_equivalence_checks += ra->store_checks();
     st.restore_equivalence_checks += ra->restore_checks();
     digest.fold(ra->restore_digest());
+    storage.fold(ra->restore_storage_digest());
   }
   st.memory_digest = digest.value();
+  // Final disk contents, primary first, then every replica in index order.
+  auto fold_disk = [&storage](const blk::Disk& d) {
+    storage.fold(d.block_count());
+    d.for_each_block([&storage](kern::InodeNum ino, std::uint64_t page,
+                                const kern::PageBytes& bytes) {
+      storage.page(ino, page, bytes);
+    });
+  };
+  fold_disk(cluster_->primary_disk);
+  fold_disk(cluster_->backup_disk);
+  for (const auto& r : cluster_->extra_backups) fold_disk(*r->disk);
+  st.storage_digest = storage.value();
   return st;
 }
 
@@ -223,6 +240,7 @@ void InvariantAuditor::on_state_ready(const core::EpochStateMsg& msg,
                 "audit: only the initial synchronization ships a full image");
   if (replay_mode_) replay_.checkpoint_stamped(msg.nd_entries, msg.nd_fp);
   digest_.image(msg.image);
+  storage_.image(msg.image);
   if (level_ == core::AuditLevel::kContinuous) {
     // The payloads in this image must stay frozen from here through ship,
     // fold and store residency, no matter what the container writes next.
@@ -312,6 +330,7 @@ void InvariantAuditor::on_recovered(std::uint64_t committed_epoch) {
   restore_equiv_checks_ += restore_equivalence_walk(
       cluster_->backup_agent->page_store(), *cluster_->backup_kernel, cid_,
       digest_);
+  storage_.cache(cluster_->backup_kernel->fs());
   if (level_ == core::AuditLevel::kContinuous) freeze_.verify_all();
 }
 
@@ -341,6 +360,13 @@ void InvariantAuditor::on_drbd_discard(std::uint64_t /*writes*/) {
   epoch_.drbd_discarded();
 }
 
+void InvariantAuditor::on_drbd_write_shipped(const blk::DiskWrite& w) {
+  // The primary disk, every replica's buffer and, after commit, every
+  // backup disk share this payload; the writer's cache must copy before
+  // its next write to the page.
+  if (level_ == core::AuditLevel::kContinuous) freeze_.pin(w.data);
+}
+
 // ---------------------------------------------------------------------------
 
 void InvariantAuditor::sweep() {
@@ -352,6 +378,7 @@ void InvariantAuditor::sweep() {
 
 void InvariantAuditor::pin_image_payloads(const criu::CheckpointImage& img) {
   for (const criu::PageRecord& rec : img.pages) freeze_.pin(rec.content);
+  for (const kern::DncPageEntry& pe : img.fs_cache.pages) freeze_.pin(pe.data);
 }
 
 }  // namespace nlc::check

@@ -9,8 +9,9 @@
 //     per packet against an independent mirror of the plug buffer;
 //   * epoch monotonicity and exactly-once commit on the backup, including
 //     DRBD's buffered-write ordering inside the fold window;
-//   * COW payload freeze: page payloads captured by a checkpoint never
-//     change bytes while any pipeline stage still references them;
+//   * COW payload freeze: page payloads captured by a checkpoint (memory
+//     pages and DNC file pages) or shipped as a DRBD write never change
+//     bytes while any pipeline stage still references them;
 //   * page-store/image equivalence after every fold, and restored-memory/
 //     store equivalence after failover;
 //   * delta-codec shadow replay (wire-size stamps + byte-exact decode).
@@ -73,6 +74,9 @@ class ReplicaAudit final : public core::BackupAuditHooks,
   std::uint64_t store_checks() const { return store_.checks(); }
   std::uint64_t restore_checks() const { return restore_equiv_checks_; }
   std::uint64_t restore_digest() const { return restore_digest_.value(); }
+  std::uint64_t restore_storage_digest() const {
+    return restore_storage_.value();
+  }
 
  private:
   core::Cluster* cluster_;
@@ -82,12 +86,14 @@ class ReplicaAudit final : public core::BackupAuditHooks,
   StoreEquivalenceChecker store_;
   std::uint64_t restore_equiv_checks_ = 0;
   MemoryDigest restore_digest_;
+  StorageDigest restore_storage_;
 };
 
 class InvariantAuditor final : public net::PlugObserver,
                                public core::PrimaryAuditHooks,
                                public core::BackupAuditHooks,
-                               public blk::DrbdObserver {
+                               public blk::DrbdObserver,
+                               public blk::DrbdShipObserver {
  public:
   /// Both agents of `cluster` must exist (construct from the
   /// Cluster::on_agents_created callback). `opts` must be the Options the
@@ -146,6 +152,9 @@ class InvariantAuditor final : public net::PlugObserver,
                              std::uint64_t writes) override;
   void on_drbd_discard(std::uint64_t writes) override;
 
+  // blk::DrbdShipObserver
+  void on_drbd_write_shipped(const blk::DiskWrite& w) override;
+
  private:
   /// Periodic probe body (kContinuous): budgeted payload re-fingerprint
   /// plus the plug-mirror cross-check.
@@ -191,6 +200,7 @@ class InvariantAuditor final : public net::PlugObserver,
   std::uint64_t sweeps_ = 0;
   std::uint64_t restore_equiv_checks_ = 0;
   MemoryDigest digest_;
+  StorageDigest storage_;
 };
 
 }  // namespace nlc::check

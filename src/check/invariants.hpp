@@ -23,6 +23,7 @@
 #include "criu/image.hpp"
 #include "criu/pagestore.hpp"
 #include "kernel/address_space.hpp"
+#include "kernel/fs.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -60,6 +61,49 @@ class MemoryDigest {
   std::uint64_t h_ = 0;
 };
 
+/// Order-sensitive fingerprint of the file state a run produces: the DNC
+/// entries of every shipped image (inode attributes; inode, page index and
+/// content hash of each page), every file-page cache restored at failover
+/// and the final contents of each host's disk. A regression pin like
+/// MemoryDigest (tests/golden_test.cpp).
+class StorageDigest {
+ public:
+  void page(kern::InodeNum ino, std::uint64_t index,
+            const kern::PageBytes& bytes) {
+    fold(ino);
+    fold(index);
+    fold(fnv1a_page(bytes));
+  }
+  void image(const criu::CheckpointImage& img) {
+    fold(img.epoch);
+    fold(img.fs_cache.inodes.size());
+    for (const kern::DncInodeEntry& ie : img.fs_cache.inodes) {
+      fold(ie.attr.ino);
+      fold(ie.attr.size);
+      fold(ie.attr.mode);
+      fold(ie.attr.uid);
+      fold(ie.attr.gid);
+      fold(ie.attr.mtime_ns);
+    }
+    fold(img.fs_cache.pages.size());
+    for (const kern::DncPageEntry& pe : img.fs_cache.pages) {
+      page(pe.ino, pe.page_index, *pe.data);
+    }
+  }
+  /// Every cached page of `fs` (a restored container's file-page cache).
+  void cache(const kern::Filesystem& fs) {
+    fold(fs.cached_page_count());
+    fs.for_each_cached_page(
+        [this](kern::InodeNum ino, std::uint64_t index,
+               const kern::PageBytes& bytes) { page(ino, index, bytes); });
+  }
+  void fold(std::uint64_t v) { h_ = splitmix64(h_ ^ v); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0;
+};
+
 /// Counters the auditor reports after a run (one per invariant family).
 struct AuditStats {
   std::uint64_t output_commit_checks = 0;
@@ -84,6 +128,9 @@ struct AuditStats {
   /// MemoryDigest over the run's shipped images and restored memory
   /// (a fingerprint, not a check: total() leaves it out).
   std::uint64_t memory_digest = 0;
+  /// StorageDigest over the run's shipped DNC entries, restored file-page
+  /// caches and final disk contents (a fingerprint, like memory_digest).
+  std::uint64_t storage_digest = 0;
 
   std::uint64_t total() const {
     return output_commit_checks + epoch_commit_checks +

@@ -301,7 +301,7 @@ std::vector<std::byte> serialize_image(const CheckpointImage& img) {
   for (const kern::DncPageEntry& pe : img.fs_cache.pages) {
     w.u64(pe.ino);
     w.u64(pe.page_index);
-    w.bytes(pe.data);
+    w.bytes(*pe.data);
   }
   w.end_section(sec);
 
@@ -430,7 +430,7 @@ CheckpointImage deserialize_image(std::span<const std::byte> data) {
     for (kern::DncPageEntry& pe : img.fs_cache.pages) {
       pe.ino = rd.u64();
       pe.page_index = rd.u64();
-      pe.data = rd.bytes();
+      pe.data = std::make_shared<const kern::PageBytes>(rd.bytes());
     }
   }
   rd.end_section(end);

@@ -299,6 +299,15 @@ RunResult run_experiment(const RunConfig& cfg) {
   cl.sim.run();
 
   res.trace = cl.tracer;
+  auto count_storage = [&res](const kern::Filesystem& fs) {
+    res.storage.pages_written_back += fs.pages_written_back();
+    res.storage.dnc_pages_harvested += fs.dnc_pages_harvested();
+    res.storage.cow_clones += fs.cow_clones();
+  };
+  count_storage(cl.primary_kernel->fs());
+  for (int i = 0; i < cl.replica_count(); ++i) {
+    count_storage(cl.backup_kernel_of(i).fs());
+  }
   if (auditor) {
     auditor->final_audit();
     res.audited = true;

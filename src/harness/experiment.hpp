@@ -128,6 +128,16 @@ struct RunResult {
   /// pre-fault median), for Table II.
   Time interruption = 0;
 
+  /// File-page storage path, summed over every host's filesystem
+  /// (reporting only): pages flushed to the block device, DNC pages
+  /// harvested, and writes that had to copy a still-shared page.
+  struct StorageCounters {
+    std::uint64_t pages_written_back = 0;
+    std::uint64_t dnc_pages_harvested = 0;
+    std::uint64_t cow_clones = 0;
+  };
+  StorageCounters storage;
+
   /// Invariant-audit results (cfg.nilicon.audit_level != kOff). A run that
   /// returns at all passed: a violation throws InvariantError out of
   /// run_experiment.

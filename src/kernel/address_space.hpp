@@ -36,15 +36,10 @@
 #include <vector>
 
 #include "kernel/ids.hpp"
+#include "kernel/page.hpp"
 #include "util/bytes.hpp"
 
 namespace nlc::kern {
-
-/// One page's content bytes (always kPageSize once materialized).
-using PageBytes = std::vector<std::byte>;
-/// Immutable shared handle to a page payload; the unit the checkpoint
-/// pipeline passes instead of copies. Null for accounting pages.
-using PagePayload = std::shared_ptr<const PageBytes>;
 
 enum class VmaKind : std::uint8_t {
   kAnon,      // heap / anonymous mmap

@@ -1,10 +1,26 @@
 #include "kernel/fs.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assert.hpp"
 
 namespace nlc::kern {
+
+namespace {
+
+/// Bitmap words for `npages` pages.
+std::size_t bitmap_words(std::uint64_t npages) { return (npages + 63) / 64; }
+
+std::uint64_t popcount(const std::vector<std::uint64_t>& bitmap) {
+  std::uint64_t n = 0;
+  for (std::uint64_t w : bitmap) {
+    n += static_cast<std::uint64_t>(std::popcount(w));
+  }
+  return n;
+}
+
+}  // namespace
 
 InodeNum Filesystem::create(const std::string& path, std::uint32_t mode) {
   auto existing = by_path_.find(path);
@@ -12,7 +28,7 @@ InodeNum Filesystem::create(const std::string& path, std::uint32_t mode) {
     // Truncate semantics.
     InodeNum ino = existing->second;
     inodes_[ino].size = 0;
-    cache_[ino].pages.clear();
+    drop(cache_[ino]);
     inode_dnc_[ino] = true;
     return ino;
   }
@@ -47,26 +63,39 @@ void Filesystem::set_attr(InodeNum ino, std::uint32_t uid, std::uint32_t gid,
   inode_dnc_[ino] = true;
 }
 
-CachedPage& Filesystem::cache_page(InodeNum ino, std::uint64_t page) {
-  auto& fc = cache_[ino];
-  auto it = fc.pages.find(page);
-  if (it == fc.pages.end()) {
-    CachedPage cp;
-    // Read-for-write fill from the block store (or zeros for a hole).
-    if (auto blk = store_->read_block(ino, page)) {
-      cp.data = std::move(*blk);
-    } else {
-      cp.data.assign(kPageSize, std::byte{0});
-    }
-    it = fc.pages.emplace(page, std::move(cp)).first;
+std::shared_ptr<PageBytes>& Filesystem::slot(FileCache& fc,
+                                              std::uint64_t page) {
+  if (page >= fc.pages.size()) {
+    fc.pages.resize(page + 1);
+    fc.dirty.resize(bitmap_words(page + 1), 0);
+    fc.dnc.resize(bitmap_words(page + 1), 0);
   }
-  return it->second;
+  return fc.pages[page];
+}
+
+void Filesystem::mark(FileCache& fc, std::uint64_t page, bool dnc) {
+  const std::uint64_t bit = 1ull << (page % 64);
+  std::uint64_t& dirty = fc.dirty[page / 64];
+  if ((dirty & bit) == 0) ++dirty_pages_;
+  dirty |= bit;
+  std::uint64_t& d = fc.dnc[page / 64];
+  dnc_pages_ -= (d & bit) != 0 ? 1 : 0;
+  dnc_pages_ += dnc ? 1 : 0;
+  d = dnc ? (d | bit) : (d & ~bit);
+}
+
+void Filesystem::drop(FileCache& fc) {
+  for (const auto& p : fc.pages) cached_pages_ -= p ? 1 : 0;
+  dirty_pages_ -= popcount(fc.dirty);
+  dnc_pages_ -= popcount(fc.dnc);
+  fc = FileCache{};
 }
 
 void Filesystem::write(InodeNum ino, std::uint64_t offset,
                        std::span<const std::byte> data, std::uint64_t now_ns) {
   auto it = inodes_.find(ino);
   NLC_CHECK_MSG(it != inodes_.end(), "write to unknown inode");
+  FileCache& fc = cache_[ino];
   std::uint64_t pos = offset;
   std::size_t consumed = 0;
   while (consumed < data.size()) {
@@ -74,12 +103,27 @@ void Filesystem::write(InodeNum ino, std::uint64_t offset,
     std::uint32_t in_page = static_cast<std::uint32_t>(pos % kPageSize);
     std::uint64_t chunk =
         std::min<std::uint64_t>(kPageSize - in_page, data.size() - consumed);
-    CachedPage& cp = cache_page(ino, page);
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(consumed),
-              data.begin() + static_cast<std::ptrdiff_t>(consumed + chunk),
-              cp.data.begin() + in_page);
-    cp.dirty = true;
-    cp.dnc = true;
+    std::span<const std::byte> src = data.subspan(consumed, chunk);
+    std::shared_ptr<PageBytes>& p = slot(fc, page);
+    // Shared: a harvest, a block store or a restored image still holds
+    // these bytes, so the cache takes a private page and theirs stay frozen.
+    const bool shared = p && p.use_count() > 1;
+    cow_clones_ += shared ? 1 : 0;
+    cached_pages_ += p ? 0 : 1;
+    if (chunk == kPageSize && (shared || !p)) {
+      p = std::make_shared<PageBytes>(src.begin(), src.end());
+    } else {
+      if (shared) {
+        p = std::make_shared<PageBytes>(*p);
+      } else if (!p) {
+        // Read-for-write fill from the block store, or zeros for a hole.
+        PagePayload blk = store_->read_block(ino, page);
+        p = blk ? std::make_shared<PageBytes>(*blk)
+                : std::make_shared<PageBytes>(kPageSize, std::byte{0});
+      }
+      std::copy(src.begin(), src.end(), p->begin() + in_page);
+    }
+    mark(fc, page, /*dnc=*/true);
     pos += chunk;
     consumed += chunk;
   }
@@ -101,17 +145,12 @@ std::vector<std::byte> Filesystem::read(InodeNum ino, std::uint64_t offset,
     std::uint32_t in_page = static_cast<std::uint32_t>(pos % kPageSize);
     std::uint64_t chunk = std::min<std::uint64_t>(kPageSize - in_page,
                                                   len - produced);
-    const std::vector<std::byte>* src = nullptr;
-    std::optional<std::vector<std::byte>> blk;
-    if (fcit != cache_.end()) {
-      auto pit = fcit->second.pages.find(page);
-      if (pit != fcit->second.pages.end()) src = &pit->second.data;
+    PagePayload src;
+    if (fcit != cache_.end() && page < fcit->second.pages.size()) {
+      src = fcit->second.pages[page];
     }
-    if (src == nullptr) {
-      blk = store_->read_block(ino, page);
-      if (blk) src = &*blk;
-    }
-    if (src != nullptr) {
+    if (!src) src = store_->read_block(ino, page);
+    if (src) {
       std::copy(src->begin() + in_page,
                 src->begin() + in_page + static_cast<std::ptrdiff_t>(chunk),
                 out.begin() + static_cast<std::ptrdiff_t>(produced));
@@ -125,12 +164,16 @@ std::vector<std::byte> Filesystem::read(InodeNum ino, std::uint64_t offset,
 std::uint64_t Filesystem::writeback(std::uint64_t max_pages) {
   std::uint64_t flushed = 0;
   for (auto& [ino, fc] : cache_) {
-    for (auto& [page, cp] : fc.pages) {
-      if (flushed >= max_pages) return flushed;
-      if (!cp.dirty) continue;
-      store_->write_block(ino, page, cp.data);
-      cp.dirty = false;
-      ++flushed;
+    for (std::size_t w = 0; w < fc.dirty.size(); ++w) {
+      for (std::uint64_t& bits = fc.dirty[w]; bits != 0; bits &= bits - 1) {
+        if (flushed >= max_pages) return flushed;
+        std::uint64_t page =
+            w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+        store_->write_block(ino, page, fc.pages[page]);
+        --dirty_pages_;
+        ++pages_written_back_;
+        ++flushed;
+      }
     }
   }
   return flushed;
@@ -147,13 +190,19 @@ DncHarvest Filesystem::harvest_dnc() {
     h.inodes.push_back(DncInodeEntry{inodes_.at(ino)});
     dnc = false;
   }
+  h.pages.reserve(dnc_pages_);
   for (auto& [ino, fc] : cache_) {
-    for (auto& [page, cp] : fc.pages) {
-      if (!cp.dnc) continue;
-      h.pages.push_back(DncPageEntry{ino, page, cp.data});
-      cp.dnc = false;
+    for (std::size_t w = 0; w < fc.dnc.size(); ++w) {
+      for (std::uint64_t bits = fc.dnc[w]; bits != 0; bits &= bits - 1) {
+        std::uint64_t page =
+            w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+        h.pages.push_back(DncPageEntry{ino, page, fc.pages[page]});
+      }
+      fc.dnc[w] = 0;
     }
   }
+  dnc_pages_harvested_ += h.pages.size();
+  dnc_pages_ = 0;
   return h;
 }
 
@@ -167,40 +216,18 @@ void Filesystem::apply_dnc(const DncHarvest& h, std::uint64_t now_ns) {
   }
   for (const auto& pe : h.pages) {
     // pwrite equivalent: land in the page cache, dirty for writeback but
-    // already checkpointed (DNC clear).
-    NLC_CHECK(pe.data.size() == kPageSize);
-    auto& fc = cache_[pe.ino];
-    CachedPage cp;
-    cp.data = pe.data;
-    cp.dirty = true;
-    cp.dnc = false;
-    fc.pages[pe.page_index] = std::move(cp);
+    // already checkpointed (DNC clear). The cache adopts the handle; a
+    // later write() copies before mutating while the entry's holder lives.
+    NLC_CHECK(pe.data != nullptr && pe.data->size() == kPageSize);
     auto it = inodes_.find(pe.ino);
     NLC_CHECK_MSG(it != inodes_.end(), "DNC page for unknown inode");
+    FileCache& fc = cache_[pe.ino];
+    std::shared_ptr<PageBytes>& p = slot(fc, pe.page_index);
+    if (!p) ++cached_pages_;
+    p = std::const_pointer_cast<PageBytes>(pe.data);
+    mark(fc, pe.page_index, /*dnc=*/false);
     it->second.mtime_ns = now_ns;
   }
-}
-
-std::uint64_t Filesystem::dnc_page_count() const {
-  std::uint64_t n = 0;
-  for (const auto& [ino, fc] : cache_) {
-    for (const auto& [page, cp] : fc.pages) n += cp.dnc ? 1 : 0;
-  }
-  return n;
-}
-
-std::uint64_t Filesystem::dirty_page_count() const {
-  std::uint64_t n = 0;
-  for (const auto& [ino, fc] : cache_) {
-    for (const auto& [page, cp] : fc.pages) n += cp.dirty ? 1 : 0;
-  }
-  return n;
-}
-
-std::uint64_t Filesystem::cached_page_count() const {
-  std::uint64_t n = 0;
-  for (const auto& [ino, fc] : cache_) n += fc.pages.size();
-  return n;
 }
 
 }  // namespace nlc::kern

@@ -43,6 +43,29 @@ TEST(KvCodecTest, ValueBytesDeterministic) {
   EXPECT_NE(a, c);
 }
 
+TEST(KvCodecTest, WordGeneratorMatchesPerByteDefinition) {
+  std::vector<std::uint16_t> lens;
+  for (std::uint16_t n = 0; n <= 40; ++n) lens.push_back(n);
+  lens.push_back(900);
+  for (std::uint64_t seed : {0ull, 7ull, 0xDEADBEEFCAFEull}) {
+    for (std::uint16_t len : lens) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " len " << len);
+      std::vector<std::byte> want(len);
+      for (std::uint32_t i = 0; i < len; ++i) {
+        want[i] = kv_value_byte(seed, i);
+      }
+      EXPECT_EQ(kv_value_bytes(seed, len), want);
+      // A fill into a larger buffer writes exactly the value's bytes.
+      std::vector<std::byte> cell(len + 3, std::byte{0xEE});
+      kv_value_fill(seed, std::span(cell).first(len));
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), cell.begin()));
+      EXPECT_EQ(cell[len], std::byte{0xEE});
+      EXPECT_EQ(kv_value_hash(seed, len),
+                kv_content_hash(want.data(), want.size()));
+    }
+  }
+}
+
 TEST(KvCodecTest, ContentHashDiscriminates) {
   auto a = kv_value_bytes(1, 64);
   auto b = kv_value_bytes(2, 64);

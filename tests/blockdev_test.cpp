@@ -14,8 +14,9 @@ namespace {
 using namespace nlc::literals;
 using sim::task;
 
-std::vector<std::byte> block_of(char fill) {
-  return std::vector<std::byte>(64, static_cast<std::byte>(fill));
+kern::PagePayload block_of(char fill) {
+  return std::make_shared<const kern::PageBytes>(kPageSize,
+                                                 static_cast<std::byte>(fill));
 }
 
 TEST(DiskTest, WriteReadRoundTrip) {
@@ -23,10 +24,13 @@ TEST(DiskTest, WriteReadRoundTrip) {
   auto data = block_of('A');
   d.write_block(5, 0, data);
   auto back = d.read_block(5, 0);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, data);
-  EXPECT_FALSE(d.read_block(5, 1).has_value());
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(*back, *data);
+  EXPECT_EQ(back, data);  // the stored handle, not a copy
+  EXPECT_EQ(d.read_block(5, 1), nullptr);
+  EXPECT_EQ(d.read_block(6, 0), nullptr);
   EXPECT_EQ(d.writes(), 1u);
+  EXPECT_EQ(d.bytes_written(), kPageSize);
 }
 
 TEST(DiskTest, SameContentComparison) {
@@ -35,6 +39,31 @@ TEST(DiskTest, SameContentComparison) {
   EXPECT_FALSE(a.same_content(b));
   b.write_block(1, 0, block_of('x'));
   EXPECT_TRUE(a.same_content(b));
+}
+
+TEST(DiskTest, SameContentComparesBytesNotHandles) {
+  Disk a, b;
+  // Equal bytes in distinct payloads: the same content.
+  a.write_block(1, 3, block_of('x'));
+  b.write_block(1, 3, block_of('x'));
+  ASSERT_NE(a.read_block(1, 3), b.read_block(1, 3));
+  EXPECT_TRUE(a.same_content(b));
+  EXPECT_TRUE(b.same_content(a));
+  // One shared payload: the same content too.
+  kern::PagePayload shared = block_of('s');
+  a.write_block(2, 0, shared);
+  b.write_block(2, 0, shared);
+  EXPECT_TRUE(a.same_content(b));
+  // Different bytes at one block.
+  b.write_block(2, 0, block_of('t'));
+  EXPECT_FALSE(a.same_content(b));
+  EXPECT_FALSE(b.same_content(a));
+  // The same number of blocks, at different addresses.
+  Disk c, d;
+  c.write_block(1, 0, block_of('x'));
+  d.write_block(1, 1, block_of('x'));
+  EXPECT_FALSE(c.same_content(d));
+  EXPECT_FALSE(d.same_content(c));
 }
 
 struct DrbdRig {
@@ -61,18 +90,46 @@ TEST(DrbdTest, WritesBufferedUntilCommit) {
   r.s.run();
   // Arrived and buffered, not applied.
   EXPECT_EQ(r.backup.buffered_writes(), 1u);
-  EXPECT_FALSE(r.backup_disk.read_block(1, 0).has_value());
+  EXPECT_FALSE(r.backup_disk.read_block(1, 0) != nullptr);
   r.backup.commit(1);
   EXPECT_TRUE(r.primary_disk.same_content(r.backup_disk));
   EXPECT_EQ(r.backup.committed_epoch(), 1u);
 }
 
+/// Zero-copy replication: with two directly-fed replicas (star fan-out),
+/// the primary disk and both backup disks end up holding the one payload
+/// the filesystem handed to the primary.
+TEST(DrbdTest, FanOutAndCommitShareOnePayload) {
+  DrbdRig r;
+  net::Channel<DrbdMessage> chan2{r.s, r.link, r.backup_dom};
+  Disk disk2;
+  DrbdBackup backup2{r.s, disk2, chan2};
+  r.primary.add_channel(chan2);
+  r.s.spawn(r.backup_dom, backup2.run());
+  kern::PagePayload page = block_of('p');
+  r.primary.write_block(4, 2, page);
+  r.primary.send_barrier(1);
+  r.s.spawn(r.backup_dom, [](DrbdRig& rr, DrbdBackup& b2) -> task<> {
+    co_await rr.backup.wait_barrier(1);
+    co_await b2.wait_barrier(1);
+    rr.backup.commit(1);
+    b2.commit(1);
+  }(r, backup2));
+  r.s.run();
+  EXPECT_EQ(r.primary_disk.read_block(4, 2), page);
+  EXPECT_EQ(r.backup_disk.read_block(4, 2), page);
+  EXPECT_EQ(disk2.read_block(4, 2), page);
+  EXPECT_EQ(r.backup.buffered_writes(), 0u);
+  EXPECT_EQ(backup2.buffered_writes(), 0u);
+  r.s.shutdown();  // before backup2 and chan2 go out of scope
+}
+
 TEST(DrbdTest, PrimaryAppliesLocallyImmediately) {
   DrbdRig r;
   r.primary.write_block(3, 7, block_of('z'));
-  EXPECT_TRUE(r.primary_disk.read_block(3, 7).has_value());
+  EXPECT_TRUE(r.primary_disk.read_block(3, 7) != nullptr);
   auto back = r.primary.read_block(3, 7);
-  ASSERT_TRUE(back.has_value());
+  ASSERT_NE(back, nullptr);
   EXPECT_EQ((*back)[0], static_cast<std::byte>('z'));
 }
 
@@ -91,7 +148,7 @@ TEST(DrbdTest, DiscardUncommittedProtectsBackupDisk) {
   r.s.run();
   r.backup.discard_uncommitted();
   auto back = r.backup_disk.read_block(1, 0);
-  ASSERT_TRUE(back.has_value());
+  ASSERT_NE(back, nullptr);
   EXPECT_EQ((*back)[0], static_cast<std::byte>('1'));  // epoch-1 content
 }
 
@@ -107,8 +164,8 @@ TEST(DrbdTest, MultiEpochCommitInOrder) {
   r.s.run();
   r.backup.commit(2);
   EXPECT_EQ(r.backup.committed_epoch(), 2u);
-  EXPECT_TRUE(r.backup_disk.read_block(2, 0).has_value());
-  EXPECT_FALSE(r.backup_disk.read_block(3, 0).has_value());
+  EXPECT_TRUE(r.backup_disk.read_block(2, 0) != nullptr);
+  EXPECT_FALSE(r.backup_disk.read_block(3, 0) != nullptr);
   r.backup.commit(3);
   EXPECT_TRUE(r.primary_disk.same_content(r.backup_disk));
 }
@@ -136,8 +193,8 @@ TEST(DrbdTest, WriteAfterBarrierLandsInNextEpoch) {
   }(r));
   r.s.run();
   r.backup.commit(1);
-  EXPECT_TRUE(r.backup_disk.read_block(1, 0).has_value());
-  EXPECT_FALSE(r.backup_disk.read_block(2, 0).has_value());
+  EXPECT_TRUE(r.backup_disk.read_block(1, 0) != nullptr);
+  EXPECT_FALSE(r.backup_disk.read_block(2, 0) != nullptr);
 }
 
 TEST(DrbdTest, ReplicationStopsWhenBackupDead) {
@@ -148,7 +205,7 @@ TEST(DrbdTest, ReplicationStopsWhenBackupDead) {
   r.s.run();
   EXPECT_EQ(r.backup.buffered_writes(), 0u);
   // Primary disk unaffected.
-  EXPECT_TRUE(r.primary_disk.read_block(1, 0).has_value());
+  EXPECT_TRUE(r.primary_disk.read_block(1, 0) != nullptr);
 }
 
 /// Filesystem + DRBD integration: writeback on the primary reaches the

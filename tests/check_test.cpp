@@ -426,6 +426,79 @@ TEST(AuditedClusterTest, DetectsFrozenPayloadMutation) {
                InvariantError);
 }
 
+/// One full page of `fill` at page `page` of the file `ino` on the primary.
+void write_file_page(AuditedService& svc, kern::InodeNum ino,
+                     std::uint64_t page, std::byte fill) {
+  std::vector<std::byte> data(kPageSize, fill);
+  svc.cl.primary_kernel->fs().write(ino, page * kPageSize, data,
+                                    static_cast<std::uint64_t>(
+                                        svc.cl.sim.now()));
+}
+
+/// The primary cache's current payload of page 0 of `ino`.
+const kern::PageBytes* cached_page0(AuditedService& svc, kern::InodeNum ino) {
+  const kern::PageBytes* found = nullptr;
+  svc.cl.primary_kernel->fs().for_each_cached_page(
+      [&](kern::InodeNum i, std::uint64_t page, const kern::PageBytes& b) {
+        if (i == ino && page == 0) found = &b;
+      });
+  return found;
+}
+
+TEST(AuditedClusterTest, ContinuousAuditWithFilePagesIsClean) {
+  AuditedService svc(core::AuditLevel::kContinuous);
+  kern::InodeNum ino = svc.cl.primary_kernel->fs().create("/data/f");
+  std::uint64_t pins_before = 0;
+  for (int round = 0; round < 8; ++round) {
+    // Full-page and partial rewrites of pages that the last harvest, the
+    // disks and the DRBD buffers still hold: every one must copy first.
+    write_file_page(svc, ino, 0, static_cast<std::byte>(round));
+    std::vector<std::byte> partial(100, static_cast<std::byte>(0x80 + round));
+    svc.cl.primary_kernel->fs().write(ino, kPageSize + 50, partial, 1);
+    if (round % 2 == 1) svc.cl.primary_kernel->fs().writeback(1);
+    svc.cl.sim.run_until(svc.cl.sim.now() + 70_ms);
+    if (round == 0) pins_before = svc.auditor->stats().payload_pins;
+  }
+  svc.auditor->final_audit();
+  AuditStats st = svc.auditor->stats();
+  EXPECT_GT(st.payload_pins, pins_before);
+  EXPECT_GT(svc.cl.primary_kernel->fs().cow_clones(), 0u);
+  EXPECT_GT(svc.cl.primary_disk.block_count(), 0u);
+}
+
+TEST(AuditedClusterTest, DetectsFrozenFilePagePayloadMutation) {
+  AuditedService svc(core::AuditLevel::kContinuous);
+  kern::InodeNum ino = svc.cl.primary_kernel->fs().create("/data/f");
+  write_file_page(svc, ino, 0, std::byte{0x42});
+  // An epoch harvests the page: the shipped image's DNC entry holds the
+  // cache's payload, and the backup keeps it as committed fs state.
+  svc.cl.sim.run_until(svc.cl.sim.now() + 200_ms);
+  EXPECT_EQ(svc.cl.primary_kernel->fs().dnc_page_count(), 0u);
+  const kern::PageBytes* victim = cached_page0(svc, ino);
+  ASSERT_NE(victim, nullptr);
+  // Mutate it in place, bypassing the cache's copy-on-write.
+  const_cast<kern::PageBytes&>(*victim)[0] ^= std::byte{0xFF};
+  EXPECT_THROW(svc.cl.sim.run_until(svc.cl.sim.now() + 500_ms),
+               InvariantError);
+}
+
+TEST(AuditedClusterTest, DetectsFrozenDrbdWritePayloadMutation) {
+  AuditedService svc(core::AuditLevel::kContinuous);
+  kern::Filesystem& fs = svc.cl.primary_kernel->fs();
+  kern::InodeNum ino = fs.create("/data/f");
+  write_file_page(svc, ino, 0, std::byte{0x42});
+  // Consume the DNC entry out of band so no checkpoint image pins the
+  // page: only the DRBD write below covers it.
+  (void)fs.harvest_dnc();
+  ASSERT_EQ(fs.writeback(1), 1u);
+  kern::PagePayload shipped = svc.cl.primary_disk.read_block(ino, 0);
+  ASSERT_NE(shipped, nullptr);
+  svc.cl.sim.run_until(svc.cl.sim.now() + 200_ms);
+  const_cast<kern::PageBytes&>(*shipped)[7] ^= std::byte{0xFF};
+  EXPECT_THROW(svc.cl.sim.run_until(svc.cl.sim.now() + 500_ms),
+               InvariantError);
+}
+
 TEST(AuditedClusterTest, DetectsPlugReleaseBehindAgentsBack) {
   AuditedService svc(core::AuditLevel::kCommitPoints);
   svc.cl.sim.run_until(svc.cl.sim.now() + 200_ms);

@@ -1,16 +1,19 @@
 // Golden observables: short harness::run_experiment runs over the three
 // shapes the benchmark exercises (redis epoch commit N = 1, node replay
 // commit with adaptive epochs, ssdb N = 3 K = 2 with KV validation and a
-// primary crash) pinned to committed values.
+// primary crash) plus djcms epoch commit with a primary crash (the other
+// app that writes files), pinned to committed values.
 //
 // Each run carries the invariant auditor at commit points, whose
 // MemoryDigest folds every shipped image's (page, version, content hash,
-// wire size) records and every restored resident set; the client-facing
-// result fields are pinned as exact integers, the latency samples by the
-// bit patterns of their values. Auditing is observer-only: each case also
-// runs unaudited and must match field for field, so these are the run's
-// own observables. A change that is meant to keep the simulated
-// memory model byte-identical must leave every value here unchanged; a
+// wire size) records and every restored resident set, and whose
+// StorageDigest folds every shipped DNC entry, every restored file-page
+// cache and each host's final disk contents; the client-facing result
+// fields are pinned as exact integers, the latency samples by the bit
+// patterns of their values. Auditing is observer-only: each case also runs
+// unaudited and must match field for field, so these are the run's own
+// observables. A change that is meant to keep the simulated memory and
+// storage models byte-identical must leave every value here unchanged; a
 // change that moves the simulation on purpose re-captures them.
 #include <gtest/gtest.h>
 
@@ -30,6 +33,7 @@ using harness::RunResult;
 
 struct Golden {
   std::uint64_t memory_digest;
+  std::uint64_t storage_digest;
   std::uint64_t latency_digest;
   std::uint64_t requests_completed;
   std::uint64_t bytes_shipped;
@@ -44,7 +48,7 @@ Golden observe(const RunResult& r) {
   for (double v : r.latencies_ms.values()) {
     lat = splitmix64(lat ^ std::bit_cast<std::uint64_t>(v));
   }
-  return Golden{r.audit.memory_digest,      lat,
+  return Golden{r.audit.memory_digest,      r.audit.storage_digest, lat,
                 r.requests_completed,       r.metrics.bytes_shipped,
                 r.metrics.epochs_completed, r.sim_events,
                 r.kv_errors,                r.recovered};
@@ -56,9 +60,10 @@ void expect_golden(const RunConfig& cfg, const Golden& want) {
   Golden got = observe(r);
   // One line with every value, so a deliberate re-capture is a paste.
   std::printf(
-      "golden {0x%016llxull, 0x%016llxull, %llu, %llu, %llu, %llu, %llu, "
-      "%s}\n",
+      "golden {0x%016llxull, 0x%016llxull, 0x%016llxull, %llu, %llu, %llu, "
+      "%llu, %llu, %s}\n",
       static_cast<unsigned long long>(got.memory_digest),
+      static_cast<unsigned long long>(got.storage_digest),
       static_cast<unsigned long long>(got.latency_digest),
       static_cast<unsigned long long>(got.requests_completed),
       static_cast<unsigned long long>(got.bytes_shipped),
@@ -67,6 +72,7 @@ void expect_golden(const RunConfig& cfg, const Golden& want) {
       static_cast<unsigned long long>(got.kv_errors),
       got.recovered ? "true" : "false");
   EXPECT_EQ(got.memory_digest, want.memory_digest);
+  EXPECT_EQ(got.storage_digest, want.storage_digest);
   EXPECT_EQ(got.latency_digest, want.latency_digest);
   EXPECT_EQ(got.requests_completed, want.requests_completed);
   EXPECT_EQ(got.bytes_shipped, want.bytes_shipped);
@@ -101,8 +107,9 @@ TEST(GoldenObservablesTest, RedisEpochCommit) {
   cfg.client_pipeline = 14;
   cfg.warmup = nlc::milliseconds(500);
   cfg.measure = nlc::seconds(3);
-  expect_golden(cfg, Golden{0x8e39197cfb371485ull, 0x6ea0a577ed2caed0ull, 738,
-                            1802672832, 110, 10014, 0, false});
+  expect_golden(cfg, Golden{0x8e39197cfb371485ull, 0xa6ea8ee5aff28e91ull,
+                            0x6ea0a577ed2caed0ull, 738, 1802672832, 110,
+                            10014, 0, false});
 }
 
 TEST(GoldenObservablesTest, NodeReplayCommitAdaptive) {
@@ -112,8 +119,9 @@ TEST(GoldenObservablesTest, NodeReplayCommitAdaptive) {
   cfg.nilicon.epoch_policy = core::EpochPolicy::kAdaptive;
   cfg.warmup = nlc::seconds(1);
   cfg.measure = nlc::seconds(6);
-  expect_golden(cfg, Golden{0x1db5e56cb30d82f9ull, 0xaaabd0abe01ead8dull, 2240,
-                            1335760576, 12, 81702, 0, false});
+  expect_golden(cfg, Golden{0x1db5e56cb30d82f9ull, 0x42e744278d4d5846ull,
+                            0xaaabd0abe01ead8dull, 2240, 1335760576, 12,
+                            81702, 0, false});
 }
 
 TEST(GoldenObservablesTest, SsdbQuorumKvFailover) {
@@ -125,8 +133,19 @@ TEST(GoldenObservablesTest, SsdbQuorumKvFailover) {
   cfg.inject_fault = true;
   cfg.warmup = nlc::milliseconds(500);
   cfg.measure = nlc::seconds(4);
-  expect_golden(cfg, Golden{0x332af3a402a7e35bull, 0x447b8eb9380f169eull, 72,
-                            118676640, 91, 60663, 0, true});
+  expect_golden(cfg, Golden{0x332af3a402a7e35bull, 0xd80bd71abffe00e2ull,
+                            0x447b8eb9380f169eull, 72, 118676640, 91, 60663,
+                            0, true});
+}
+
+TEST(GoldenObservablesTest, DjcmsEpochFailover) {
+  RunConfig cfg = audited(apps::djcms_spec());
+  cfg.inject_fault = true;
+  cfg.warmup = nlc::milliseconds(500);
+  cfg.measure = nlc::seconds(4);
+  expect_golden(cfg, Golden{0x2dbbaf7e79c65126ull, 0xa85c7e65f804feb3ull,
+                            0xbc53a7c6c5fe8dfdull, 48, 1110765296, 71, 9595,
+                            0, true});
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "kernel/address_space.hpp"
@@ -30,20 +31,18 @@ std::vector<std::byte> bytes_of(const char* s) {
 class FakeStore : public BlockStore {
  public:
   void write_block(InodeNum ino, std::uint64_t page,
-                   std::span<const std::byte> data) override {
-    blocks_[{ino, page}].assign(data.begin(), data.end());
+                   PagePayload data) override {
+    blocks_[{ino, page}] = std::move(data);
     ++writes_;
   }
-  std::optional<std::vector<std::byte>> read_block(
-      InodeNum ino, std::uint64_t page) const override {
+  PagePayload read_block(InodeNum ino, std::uint64_t page) const override {
     auto it = blocks_.find({ino, page});
-    if (it == blocks_.end()) return std::nullopt;
-    return it->second;
+    return it == blocks_.end() ? nullptr : it->second;
   }
   std::uint64_t writes() const { return writes_; }
 
  private:
-  std::map<std::pair<InodeNum, std::uint64_t>, std::vector<std::byte>> blocks_;
+  std::map<std::pair<InodeNum, std::uint64_t>, PagePayload> blocks_;
   std::uint64_t writes_ = 0;
 };
 
@@ -726,6 +725,272 @@ TEST(FilesystemTest, SetAttrMarksInodeDnc) {
   ASSERT_EQ(h.inodes.size(), 1u);
   EXPECT_EQ(h.inodes[0].attr.uid, 1000u);
   EXPECT_EQ(h.inodes[0].attr.mode, 0600u);
+}
+
+TEST(FilesystemTest, FullPageOverwriteOfSharedPageKeepsOldBytes) {
+  FakeStore store;
+  Filesystem fs(store);
+  auto ino = fs.create("/f");
+  std::vector<std::byte> a(kPageSize, std::byte{0xAA});
+  fs.write(ino, 0, a, 1);
+  DncHarvest h = fs.harvest_dnc();
+  ASSERT_EQ(h.pages.size(), 1u);
+  fs.sync_all();
+  PagePayload on_disk = store.read_block(ino, 0);
+  EXPECT_EQ(on_disk, h.pages[0].data);  // flushed by handle, not copied
+  std::vector<std::byte> b(kPageSize, std::byte{0xBB});
+  fs.write(ino, 0, b, 2);
+  EXPECT_EQ(fs.cow_clones(), 1u);
+  EXPECT_EQ(*h.pages[0].data, a);
+  EXPECT_EQ(*on_disk, a);
+  EXPECT_EQ(fs.read(ino, 0, kPageSize), b);
+  // Unshared again (the disk still holds `a`, the cache its own page):
+  // the next write lands in place.
+  fs.write(ino, 10, bytes_of("z"), 3);
+  EXPECT_EQ(fs.cow_clones(), 1u);
+}
+
+/// Block store that records every flushed (inode, page) in order, with the
+/// handle and a snapshot of its bytes at flush time.
+class RecordingStore : public BlockStore {
+ public:
+  struct Flush {
+    InodeNum ino;
+    std::uint64_t page;
+    PagePayload data;
+    std::vector<std::byte> snapshot;
+  };
+  void write_block(InodeNum ino, std::uint64_t page,
+                   PagePayload data) override {
+    flushes.push_back(Flush{ino, page, data, *data});
+    blocks_[{ino, page}] = std::move(data);
+  }
+  PagePayload read_block(InodeNum ino, std::uint64_t page) const override {
+    auto it = blocks_.find({ino, page});
+    return it == blocks_.end() ? nullptr : it->second;
+  }
+  std::vector<Flush> flushes;
+
+ private:
+  std::map<std::pair<InodeNum, std::uint64_t>, PagePayload> blocks_;
+};
+
+/// Reference model for the differential test below: std::map page cache
+/// with per-page bytes and flags, plus the disk contents.
+struct FsModel {
+  struct Page {
+    std::vector<std::byte> bytes;
+    bool dirty = false;
+    bool dnc = false;
+  };
+  using Key = std::pair<InodeNum, std::uint64_t>;
+  std::map<Key, Page> cache;
+  std::map<Key, std::vector<std::byte>> disk;
+  std::map<std::string, InodeNum> paths;
+  std::map<InodeNum, std::uint64_t> sizes;
+  InodeNum next_ino = 100;
+
+  std::vector<std::byte> page_bytes(const Key& k) const {
+    if (auto c = cache.find(k); c != cache.end()) return c->second.bytes;
+    if (auto d = disk.find(k); d != disk.end()) return d->second;
+    return std::vector<std::byte>(kPageSize, std::byte{0});
+  }
+  std::uint64_t count(bool Page::*flag) const {
+    std::uint64_t n = 0;
+    for (const auto& [k, p] : cache) n += (p.*flag) ? 1 : 0;
+    return n;
+  }
+};
+
+TEST(FilesystemDifferentialTest, RandomOpsMatchReferenceModel) {
+  const std::vector<std::string> names = {"/a", "/b", "/c"};
+  // Pages cluster below 12 and just below and above the 64- and 128-page
+  // bitmap word edges, so scans cross words and files of three sizes mix.
+  auto pick_page = [](Rng& r) -> std::uint64_t {
+    double u = r.uniform01();
+    if (u < 0.5) return static_cast<std::uint64_t>(r.uniform(0, 11));
+    if (u < 0.8) return static_cast<std::uint64_t>(r.uniform(60, 69));
+    return static_cast<std::uint64_t>(r.uniform(126, 131));
+  };
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    RecordingStore store;
+    Filesystem fs(store);
+    FsModel m;
+    // A sample of harvested and flushed payloads, kept alive with their
+    // bytes at hand-over time; harvests kept for apply_dnc.
+    std::vector<std::pair<PagePayload, std::vector<std::byte>>> held;
+    std::vector<std::pair<DncHarvest, std::vector<std::vector<std::byte>>>>
+        harvests;
+    auto hold = [&held](PagePayload p, std::vector<std::byte> bytes) {
+      if (held.size() >= 32) held.erase(held.begin());
+      held.emplace_back(std::move(p), std::move(bytes));
+    };
+
+    auto random_ino = [&]() -> InodeNum {
+      if (m.paths.empty()) return 0;
+      auto it = m.paths.begin();
+      std::advance(it, rng.uniform(0, static_cast<std::int64_t>(
+                                          m.paths.size()) - 1));
+      return it->second;
+    };
+
+    for (int step = 0; step < 1500; ++step) {
+      int op = static_cast<int>(rng.uniform(0, 99));
+      InodeNum ino = random_ino();
+      if (op < 8 || ino == 0) {
+        // create / truncate
+        const std::string& name = names[static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(names.size()) - 1))];
+        InodeNum got = fs.create(name);
+        auto [it, fresh] = m.paths.try_emplace(name, m.next_ino);
+        if (fresh) ++m.next_ino;
+        ASSERT_EQ(got, it->second);
+        m.sizes[got] = 0;
+        std::erase_if(m.cache, [&](const auto& kv) {
+          return kv.first.first == got;
+        });
+      } else if (op < 45) {
+        // write: whole aligned pages, or any span across page edges
+        std::uint64_t off = 0;
+        std::uint64_t len = 0;
+        if (rng.chance(0.5)) {
+          off = pick_page(rng) * kPageSize;
+          len = static_cast<std::uint64_t>(rng.uniform(1, 3)) * kPageSize;
+        } else {
+          off = pick_page(rng) * kPageSize +
+                static_cast<std::uint64_t>(rng.uniform(0, kPageSize - 1));
+          len = static_cast<std::uint64_t>(rng.uniform(1, 2 * kPageSize + 9));
+        }
+        std::vector<std::byte> data(len);
+        const std::uint64_t fill = rng.next();
+        for (std::uint64_t i = 0; i < len; ++i) {
+          data[i] = static_cast<std::byte>(splitmix64(fill + i));
+        }
+        fs.write(ino, off, data, static_cast<std::uint64_t>(step));
+        for (std::uint64_t pos = off; pos < off + len;) {
+          FsModel::Key k{ino, pos / kPageSize};
+          std::uint64_t in = pos % kPageSize;
+          std::uint64_t n = std::min(kPageSize - in, off + len - pos);
+          if (!m.cache.contains(k)) m.cache[k].bytes = m.page_bytes(k);
+          FsModel::Page& p = m.cache[k];
+          std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(pos - off),
+                      n, p.bytes.begin() + static_cast<std::ptrdiff_t>(in));
+          p.dirty = p.dnc = true;
+          pos += n;
+        }
+        m.sizes[ino] = std::max(m.sizes[ino], off + len);
+      } else if (op < 60) {
+        // read, checked against the model
+        std::uint64_t off =
+            pick_page(rng) * kPageSize +
+            static_cast<std::uint64_t>(rng.uniform(0, 3 * kPageSize - 1));
+        auto len = static_cast<std::uint64_t>(rng.uniform(0, 2 * kPageSize));
+        std::vector<std::byte> want;
+        for (std::uint64_t pos = off; pos < off + len;) {
+          std::vector<std::byte> page = m.page_bytes({ino, pos / kPageSize});
+          std::uint64_t in = pos % kPageSize;
+          std::uint64_t n = std::min(kPageSize - in, off + len - pos);
+          want.insert(want.end(),
+                      page.begin() + static_cast<std::ptrdiff_t>(in),
+                      page.begin() + static_cast<std::ptrdiff_t>(in + n));
+          pos += n;
+        }
+        ASSERT_EQ(fs.read(ino, off, len), want);
+      } else if (op < 75 || op >= 97) {
+        // writeback(k) for small k, or sync_all: the first dirty pages in
+        // (inode, page) order, exactly those, in that order
+        bool all = op >= 97;
+        auto k = static_cast<std::uint64_t>(rng.uniform(0, 5));
+        std::vector<FsModel::Key> want;
+        for (auto& [key, p] : m.cache) {
+          if (!p.dirty || (!all && want.size() >= k)) continue;
+          want.push_back(key);
+          p.dirty = false;
+          m.disk[key] = p.bytes;
+        }
+        const std::size_t before = 0;
+        if (all) {
+          fs.sync_all();
+        } else {
+          ASSERT_EQ(fs.writeback(k), want.size());
+        }
+        ASSERT_EQ(store.flushes.size() - before, want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          const RecordingStore::Flush& f = store.flushes[before + i];
+          ASSERT_EQ(FsModel::Key(f.ino, f.page), want[i]);
+          ASSERT_EQ(f.snapshot, m.disk[want[i]]);
+          if (rng.chance(0.3)) hold(f.data, f.snapshot);
+        }
+        store.flushes.clear();
+      } else if (op < 88) {
+        // harvest_dnc: every DNC page in (inode, page) order
+        DncHarvest h = fs.harvest_dnc();
+        std::vector<FsModel::Key> want;
+        for (auto& [key, p] : m.cache) {
+          if (!p.dnc) continue;
+          want.push_back(key);
+          p.dnc = false;
+        }
+        ASSERT_EQ(h.pages.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          const DncPageEntry& e = h.pages[i];
+          ASSERT_EQ(FsModel::Key(e.ino, e.page_index), want[i]);
+          ASSERT_EQ(*e.data, m.cache[want[i]].bytes);
+          if (rng.chance(0.3)) hold(e.data, *e.data);
+        }
+        for (const DncInodeEntry& ie : h.inodes) {
+          ASSERT_EQ(ie.attr.size, m.sizes[ie.attr.ino]);
+        }
+        if (harvests.size() < 8) {
+          std::vector<std::vector<std::byte>> snap;
+          for (const DncPageEntry& e : h.pages) snap.push_back(*e.data);
+          harvests.emplace_back(std::move(h), std::move(snap));
+        }
+      } else if (!harvests.empty()) {
+        // apply_dnc of an earlier harvest: its pages land dirty, not DNC,
+        // and its inode attributes come back
+        const auto& [h, snap] = harvests[static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(harvests.size()) - 1))];
+        for (std::size_t i = 0; i < h.pages.size(); ++i) {
+          ASSERT_EQ(*h.pages[i].data, snap[i]);  // still as harvested
+        }
+        fs.apply_dnc(h, static_cast<std::uint64_t>(step));
+        for (const DncInodeEntry& ie : h.inodes) {
+          m.sizes[ie.attr.ino] = ie.attr.size;
+        }
+        for (const DncPageEntry& e : h.pages) {
+          FsModel::Page& p = m.cache[{e.ino, e.page_index}];
+          p.bytes = *e.data;
+          p.dirty = true;
+          p.dnc = false;
+        }
+      }
+
+      // After every step: counts, sizes, and every held handle (harvest
+      // entries and flushed blocks) still carries its old bytes.
+      ASSERT_EQ(fs.dirty_page_count(), m.count(&FsModel::Page::dirty));
+      ASSERT_EQ(fs.dnc_page_count(), m.count(&FsModel::Page::dnc));
+      ASSERT_EQ(fs.cached_page_count(), m.cache.size());
+      for (const auto& [name, i] : m.paths) {
+        ASSERT_EQ(fs.lookup(name), i);
+        ASSERT_EQ(fs.attr(i)->size, m.sizes[i]);
+      }
+      for (const auto& [payload, bytes] : held) ASSERT_EQ(*payload, bytes);
+    }
+    // Every page the cache visits comes out in (inode, page) order.
+    std::vector<FsModel::Key> visited;
+    fs.for_each_cached_page(
+        [&](InodeNum i, std::uint64_t page, const PageBytes& bytes) {
+          visited.emplace_back(i, page);
+          EXPECT_EQ(bytes, m.cache[FsModel::Key(i, page)].bytes);
+        });
+    std::vector<FsModel::Key> want;
+    for (const auto& [key, p] : m.cache) want.push_back(key);
+    EXPECT_EQ(visited, want);
+    EXPECT_GT(fs.cow_clones(), 0u);
+  }
 }
 
 // --------------------------------------------------------------- Kernel ----

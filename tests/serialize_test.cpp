@@ -76,7 +76,8 @@ CheckpointImage sample_image() {
   kern::DncPageEntry pe;
   pe.ino = 200;
   pe.page_index = 1;
-  pe.data.assign(kPageSize, std::byte{0x7E});
+  pe.data =
+      std::make_shared<const kern::PageBytes>(kPageSize, std::byte{0x7E});
   img.fs_cache.pages.push_back(pe);
 
   PageRecord pr;
@@ -134,7 +135,7 @@ TEST(SerializeTest, RoundTripPreservesEverything) {
   ASSERT_EQ(back.fs_cache.inodes.size(), 1u);
   EXPECT_EQ(back.fs_cache.inodes[0].attr.path, "/data/db");
   ASSERT_EQ(back.fs_cache.pages.size(), 1u);
-  EXPECT_EQ(back.fs_cache.pages[0].data[0], std::byte{0x7E});
+  EXPECT_EQ((*back.fs_cache.pages[0].data)[0], std::byte{0x7E});
 
   ASSERT_EQ(back.pages.size(), 2u);
   ASSERT_TRUE(back.pages[0].has_content());

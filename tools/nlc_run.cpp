@@ -294,6 +294,11 @@ int main(int argc, char** argv) {
                       r.metrics.log_pruned_segments));
     }
   }
+  std::printf("storage: %llu file pages written back, %llu DNC pages "
+              "harvested, %llu file-page COW clones\n",
+              static_cast<unsigned long long>(r.storage.pages_written_back),
+              static_cast<unsigned long long>(r.storage.dnc_pages_harvested),
+              static_cast<unsigned long long>(r.storage.cow_clones));
   if (cfg.inject_fault) {
     std::printf("fault: kind=%s recovered=%s interruption=%.0fms "
                 "kv_errors=%llu broken=%llu disk_errors=%llu\n",
